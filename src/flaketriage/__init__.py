@@ -5,6 +5,7 @@ nearest-neighbour matching — plus an evaluation harness and a deterministic
 corpus generator.
 """
 from .classifier import (
+    FeatureContext,
     FeatureVector,
     default_cut_prefixes,
     extract_features,
@@ -27,6 +28,7 @@ from .errors import (
     MalformedFrame,
     MalformedLog,
     ModeMismatch,
+    ModelFormatError,
     SchemaError,
     UnknownTerm,
     UnlabeledRecord,
@@ -40,6 +42,7 @@ from .evaluation import (
     exception_frequency,
     metrics,
     score_matching,
+    score_project,
     stratified_cv,
 )
 from .ingest import (
@@ -54,9 +57,11 @@ from .ingest import (
     write_corpus_xml,
 )
 from .matching import (
+    CorpusIndex,
     FailureSignature,
     MatchMode,
     MatchScope,
+    ProjectIndex,
     RepetitivenessReport,
     TriageBasis,
     TriageVerdict,
@@ -68,6 +73,7 @@ from .matching import (
 from .model import (
     Corpus,
     FailureRecord,
+    KnownTests,
     Label,
     StackFrame,
     TestId,

@@ -15,9 +15,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .errors import EmptyDataset
+from .errors import EmptyDataset, ModelFormatError
 from .ingest import NormalizedFailure
-from .model import Label, TestId
+from .model import KnownTests, Label, TestId
 
 DEFAULT_FRAMEWORK_PREFIXES = frozenset({"org.junit.", "junit."})
 
@@ -67,6 +67,50 @@ def default_cut_prefixes(tests: Iterable[TestId]) -> frozenset[str]:
     return frozenset({".".join(common) + "."})
 
 
+class FeatureContext:
+    """Everything feature extraction needs besides the failure itself.
+
+    Built once per set of known tests and code-under-test prefixes, then
+    applied to any number of failures; see :func:`extract_features` for the
+    meaning of each part.
+    """
+
+    def __init__(
+        self,
+        known: KnownTests,
+        cut_prefixes: Iterable[str],
+        framework_prefixes: Iterable[str] = DEFAULT_FRAMEWORK_PREFIXES,
+    ) -> None:
+        self.known = known
+        self.cut_prefixes = tuple(cut_prefixes)
+        self.framework_prefixes = tuple(framework_prefixes)
+
+    def features(self, nf: NormalizedFailure) -> FeatureVector:
+        test = nf.base.test
+        full_name = test.full_name()
+        excluded = self.known.name_to_exclude(test)
+        known_classes = self.known.classes
+        frames = nf.kept_frames
+        lines = [f.render() for f in frames]
+        return FeatureVector(
+            exception_type=nf.base.exception_type,
+            test_name_in_trace=any(line.startswith(full_name) for line in lines),
+            test_class_in_trace=any(test.class_fqn in line for line in lines),
+            other_tests_in_trace=any(
+                self.known.prefixes(line, excluded) for line in lines
+            ),
+            junit_in_trace=any(
+                f.class_fqn.startswith(self.framework_prefixes) for f in frames
+            ),
+            cut_in_trace=any(
+                f.class_fqn not in known_classes
+                and f.class_fqn != test.class_fqn
+                and f.class_fqn.startswith(self.cut_prefixes)
+                for f in frames
+            ),
+        )
+
+
 def extract_features(
     nf: NormalizedFailure,
     known_tests: Iterable[TestId],
@@ -78,38 +122,13 @@ def extract_features(
     ``known_tests`` is the universe of test names of the same project (it
     feeds the other-tests feature and excludes test classes from the CUT
     check). ``cut_prefixes`` defaults to the longest common package prefix of
-    the known test classes.
+    the known test classes. To extract many failures against the same tests,
+    build one :class:`FeatureContext` instead.
     """
-    known = set(known_tests)
+    known = KnownTests(known_tests)
     if cut_prefixes is None:
-        cut_prefixes = default_cut_prefixes(known | {nf.base.test})
-    cut_prefixes = tuple(cut_prefixes)
-    framework_prefixes = tuple(framework_prefixes)
-
-    test = nf.base.test
-    full_name = test.full_name()
-    other_names = sorted(t.full_name() for t in known if t != test)
-    test_classes = {t.class_fqn for t in known} | {test.class_fqn}
-
-    lines = [f.render() for f in nf.kept_frames]
-    return FeatureVector(
-        exception_type=nf.base.exception_type,
-        test_name_in_trace=any(line.startswith(full_name) for line in lines),
-        test_class_in_trace=any(test.class_fqn in line for line in lines),
-        other_tests_in_trace=any(
-            line.startswith(name) for line in lines for name in other_names
-        ),
-        junit_in_trace=any(
-            f.class_fqn.startswith(prefix)
-            for f in nf.kept_frames
-            for prefix in framework_prefixes
-        ),
-        cut_in_trace=any(
-            f.class_fqn not in test_classes
-            and any(f.class_fqn.startswith(prefix) for prefix in cut_prefixes)
-            for f in nf.kept_frames
-        ),
-    )
+        cut_prefixes = default_cut_prefixes(known.tests | {nf.base.test})
+    return FeatureContext(known, cut_prefixes, framework_prefixes).features(nf)
 
 
 # --- decision tree ---------------------------------------------------------
@@ -435,11 +454,25 @@ def save_model(model: TrainedModel) -> str:
 
 
 def load_model(text: str) -> TrainedModel:
-    payload = json.loads(text)
+    """Read a model written by :func:`save_model`.
+
+    Raises :class:`ModelFormatError` for any text that is not such a model.
+    """
+    try:
+        return _model_from_payload(json.loads(text))
+    except ModelFormatError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ModelFormatError(f"not a valid model document: {exc!r}") from exc
+
+
+def _model_from_payload(payload: dict) -> TrainedModel:
     if payload.get("format") != _MODEL_FORMAT:
-        raise ValueError(f"not a {_MODEL_FORMAT} document")
+        raise ModelFormatError(f"not a {_MODEL_FORMAT} document")
     if payload.get("version") != _MODEL_VERSION:
-        raise ValueError(f"unsupported model version {payload.get('version')!r}")
+        raise ModelFormatError(
+            f"unsupported model version {payload.get('version')!r}"
+        )
     if payload["kind"] == "decision_tree":
         return DecisionTreeModel(
             _node_from_dict(payload["tree"]), payload["training_summary"]
@@ -459,4 +492,4 @@ def load_model(text: str) -> TrainedModel:
         return NaiveBayesModel(
             class_counts, value_counts, categories, payload["smoothing"]
         )
-    raise ValueError(f"unknown model kind {payload['kind']!r}")
+    raise ModelFormatError(f"unknown model kind {payload['kind']!r}")

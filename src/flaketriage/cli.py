@@ -19,7 +19,14 @@ from .ingest import (
     read_corpus_xml,
     write_corpus_xml,
 )
-from .matching import MatchMode, MatchScope, repetitiveness, signature, triage
+from .matching import (
+    CorpusIndex,
+    MatchMode,
+    MatchScope,
+    repetitiveness,
+    signature,
+    triage,
+)
 from .model import Corpus, Label, TestId
 from .synth import GeneratorConfig, generate
 from .tfidf import classify_nn
@@ -40,6 +47,21 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,7 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", required=True, choices=("match", "tree", "bayes", "tfidf")
     )
-    p.add_argument("--k", type=int, default=evaluation.DEFAULT_FOLDS)
+    p.add_argument(
+        "--k", type=_int_at_least(2), default=evaluation.DEFAULT_FOLDS,
+        help="cross-validation folds (at least 2)",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oversample", action="store_true")
     p.add_argument("--scope", choices=sorted(_SCOPES), default="per-test")
@@ -87,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--report-dir", metavar="DIR", help="also write per-project report files"
     )
     p.add_argument(
-        "--jobs", type=int, default=1, help="projects evaluated in parallel"
+        "--jobs", type=_int_at_least(1), default=1,
+        help="projects evaluated in parallel (at least 1)",
     )
     p.set_defaults(func=_cmd_evaluate)
 
@@ -216,16 +242,16 @@ def _project_counts(corpus: Corpus, project: str) -> tuple[int, int, int]:
     return tests, flaky, true
 
 
-def _evaluate_match_project(corpus, project, mode, scope):
-    sub = corpus.subset(project)
-    score = evaluation.score_matching(sub, mode, scope)
-    tests, flaky, true = _project_counts(corpus, project)
-    set_flaky, set_true = evaluation.distinct_signature_counts(corpus, project)
+def _evaluate_match_project(index, project, mode, scope):
+    score = evaluation.score_project(index, project, mode, scope)
+    tests, flaky, true = _project_counts(index.corpus, project)
+    set_flaky, set_true = evaluation.distinct_signature_counts(index, project)
     return project, (score, tests, true, flaky, set_true, set_flaky)
 
 
 def _cmd_evaluate(args) -> int:
     corpus = _load_corpus(args.corpus)
+    index = CorpusIndex(corpus)
     mode = _MODES[args.mode]
     scope = _SCOPES[args.scope]
     projects = corpus.project_names()
@@ -236,7 +262,7 @@ def _cmd_evaluate(args) -> int:
     sections: list[str] = []
     if args.method == "match":
         def run(project):
-            return _evaluate_match_project(corpus, project, mode, scope)
+            return _evaluate_match_project(index, project, mode, scope)
 
         results = dict(_map_projects(run, projects, args.jobs))
         sections.append(f"== text matching (mode={mode}, scope={scope}) ==")
@@ -306,7 +332,7 @@ def _cmd_evaluate(args) -> int:
         sections.append(f"== {title} ==")
         sections.append(
             evaluation.render_exceptions_table(
-                evaluation.exception_frequency(corpus, table_mode)
+                evaluation.exception_frequency(index, table_mode)
             )
         )
 

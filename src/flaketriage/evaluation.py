@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .classifier import (
+    FeatureContext,
+    FeatureVector,
+    Sample,
+    TrainedModel,
     default_cut_prefixes,
-    extract_features,
     oversample,
     train_decision_tree,
     train_naive_bayes,
@@ -23,14 +26,15 @@ from .classifier import (
 from .errors import InsufficientFlaky, InsufficientTrue
 from .ingest import normalize
 from .matching import (
-    FailureSignature,
+    CorpusIndex,
+    Indexable,
     MatchMode,
     MatchScope,
+    ProjectIndex,
     ProjectRepetitiveness,
     RepetitivenessReport,
-    signature,
 )
-from .model import Corpus, FailureRecord, Label, TestId
+from .model import Corpus, FailureRecord, KnownTests, Label, TestId
 from .tfidf import classify_nn
 
 MIN_FLAKY_FOR_CV = 10
@@ -110,48 +114,44 @@ class ScoreResult:
         return sum(1 for _, has_fn in self.per_test.values() if has_fn)
 
 
-def _record_outcomes(corpus: Corpus, mode: MatchMode, scope: MatchScope):
-    """Yield (project, test, label, exception_type, outcome) per record.
+def _record_outcomes(
+    index: ProjectIndex, mode: MatchMode, scope: MatchScope
+) -> list[str]:
+    """The outcome of each of the index's records, in record order.
 
     Outcome is "tp"/"fn" for flaky records and "fp"/"tn" for true records,
     scored against all other records in scope with the record itself
     excluded.
     """
-    for project in corpus.project_names():
-        tests = corpus.tests(project)
-        known = frozenset(tests)
-        entries: list[tuple[TestId, Label, str, object]] = []
-        group_counts: dict[object, Counter[Label]] = {}
-        for test in tests:
-            for label in (Label.FLAKY, Label.TRUE):
-                for record in corpus.bucket(test, label):
-                    sig = signature(normalize(record), mode, scope, known)
-                    key: object = (test, sig) if scope is MatchScope.PER_TEST else sig
-                    entries.append((test, label, record.exception_type, key))
-                    group_counts.setdefault(key, Counter())[label] += 1
-        for test, label, exception_type, key in entries:
-            group = group_counts[key]
-            if label is Label.FLAKY:
-                other_flaky = group[Label.FLAKY] - 1
-                outcome = (
-                    "tp" if other_flaky >= 1 and group[Label.TRUE] == 0 else "fn"
-                )
-            else:
-                outcome = "fp" if group[Label.FLAKY] >= 1 else "tn"
-            yield project, test, label, exception_type, outcome
+    group_of: defaultdict[object, Counter[Label]] = defaultdict(Counter)
+    groups = [group_of[key] for key in index.keys(mode, scope)]
+    for record, group in zip(index.records, groups):
+        group[record.label] += 1
+    outcomes = []
+    for record, group in zip(index.records, groups):
+        if record.label is Label.FLAKY:
+            other_flaky = group[Label.FLAKY] - 1
+            outcomes.append(
+                "tp" if other_flaky >= 1 and group[Label.TRUE] == 0 else "fn"
+            )
+        else:
+            outcomes.append("fp" if group[Label.FLAKY] >= 1 else "tn")
+    return outcomes
 
 
-def score_matching(
-    corpus: Corpus,
+def score_project(
+    corpus: Indexable,
+    project: str,
     mode: MatchMode = MatchMode.FULL,
     scope: MatchScope = MatchScope.PER_TEST,
 ) -> ScoreResult:
-    """Score every labeled failure against the rest of its scope."""
+    """Score every labeled failure of one project against the rest of its scope."""
+    index = CorpusIndex.of(corpus).project(project)
     counts = Counter()
     per_test: dict[TestId, list[bool]] = {}
-    for _, test, _, _, outcome in _record_outcomes(corpus, mode, scope):
+    for record, outcome in zip(index.records, _record_outcomes(index, mode, scope)):
         counts[outcome] += 1
-        flags = per_test.setdefault(test, [False, False])
+        flags = per_test.setdefault(record.test, [False, False])
         if outcome == "tp":
             flags[0] = True
         elif outcome == "fn":
@@ -162,14 +162,28 @@ def score_matching(
     return ScoreResult(matrix, {t: (a, b) for t, (a, b) in per_test.items()})
 
 
-def distinct_signature_counts(corpus: Corpus, project: str) -> tuple[int, int]:
+def score_matching(
+    corpus: Indexable,
+    mode: MatchMode = MatchMode.FULL,
+    scope: MatchScope = MatchScope.PER_TEST,
+) -> ScoreResult:
+    """Score every labeled failure against the rest of its scope."""
+    index = CorpusIndex.of(corpus)
+    matrix = ConfusionMatrix()
+    per_test: dict[TestId, tuple[bool, bool]] = {}
+    for project in index.project_names():
+        result = score_project(index, project, mode, scope)
+        matrix = matrix + result.matrix
+        per_test.update(result.per_test)
+    return ScoreResult(matrix, per_test)
+
+
+def distinct_signature_counts(corpus: Indexable, project: str) -> tuple[int, int]:
     """Distinct per-test full signatures in the flaky and true buckets."""
-    flaky: set[tuple[TestId, FailureSignature]] = set()
-    true: set[tuple[TestId, FailureSignature]] = set()
-    for test in corpus.tests(project):
-        for label, bag in ((Label.FLAKY, flaky), (Label.TRUE, true)):
-            for record in corpus.bucket(test, label):
-                bag.add((test, signature(normalize(record))))
+    index = CorpusIndex.of(corpus).project(project)
+    keys = index.keys(MatchMode.FULL, MatchScope.PER_TEST)
+    flaky = {k for r, k in zip(index.records, keys) if r.label is Label.FLAKY}
+    true = {k for r, k in zip(index.records, keys) if r.label is Label.TRUE}
     return len(flaky), len(true)
 
 
@@ -190,24 +204,27 @@ class ExceptionRow:
     tn: int
 
 
-def exception_frequency(corpus: Corpus, mode: MatchMode) -> list[ExceptionRow]:
+def exception_frequency(corpus: Indexable, mode: MatchMode) -> list[ExceptionRow]:
     """Per-exception aggregation of per-test matching outcomes.
 
     Rows are sorted by total failure count descending (exception name breaks
     ties). Run once with FULL and once with EXCEPTION_ONLY mode to see how
     much the stack frames contribute beyond the exception type.
     """
+    index = CorpusIndex.of(corpus)
     projects: dict[str, set[str]] = {}
     tests: dict[str, set[TestId]] = {}
     counters: dict[str, Counter[str]] = {}
-    for project, test, label, exception_type, outcome in _record_outcomes(
-        corpus, mode, MatchScope.PER_TEST
-    ):
-        projects.setdefault(exception_type, set()).add(project)
-        tests.setdefault(exception_type, set()).add(test)
-        counter = counters.setdefault(exception_type, Counter())
-        counter[label.value] += 1
-        counter[outcome] += 1
+    for project in index.project_names():
+        pindex = index.project(project)
+        outcomes = _record_outcomes(pindex, mode, MatchScope.PER_TEST)
+        for record, outcome in zip(pindex.records, outcomes):
+            exception_type = record.exception_type
+            projects.setdefault(exception_type, set()).add(project)
+            tests.setdefault(exception_type, set()).add(record.test)
+            counter = counters.setdefault(exception_type, Counter())
+            counter[record.label.value] += 1
+            counter[outcome] += 1
     rows = [
         ExceptionRow(
             exception=name,
@@ -363,17 +380,13 @@ def match_trainer(
     """
 
     def train(records: Sequence[FailureRecord]) -> Predictor:
-        known = frozenset(r.test for r in records)
-        index: dict[object, set[Label]] = {}
-        for record in records:
-            sig = signature(normalize(record), mode, scope, known)
-            key: object = (record.test, sig) if scope is MatchScope.PER_TEST else sig
-            index.setdefault(key, set()).add(record.label)
+        index = ProjectIndex(records)
+        labels_by_key: dict[object, set[Label]] = {}
+        for record, key in zip(index.records, index.keys(mode, scope)):
+            labels_by_key.setdefault(key, set()).add(record.label)
 
         def predictor(record: FailureRecord) -> Label:
-            sig = signature(normalize(record), mode, scope, known)
-            key: object = (record.test, sig) if scope is MatchScope.PER_TEST else sig
-            labels = index.get(key, set())
+            labels = labels_by_key.get(index.key(normalize(record), mode, scope), set())
             return Label.FLAKY if labels == {Label.FLAKY} else Label.TRUE
 
         return predictor
@@ -381,9 +394,49 @@ def match_trainer(
     return train
 
 
-def _feature_context(records: Sequence[FailureRecord]):
-    known = frozenset(r.test for r in records)
-    return known, default_cut_prefixes(known)
+def feature_trainer(
+    fit: Callable[[list[Sample]], TrainedModel],
+    oversample_threshold: float | None = None,
+    seed: int = 0,
+) -> Trainer:
+    """Strategy of the six-feature classifiers: ``fit`` a model to the
+    training records' features, optionally oversampled, and predict with it.
+
+    Features depend only on the record, the known tests and the CUT
+    prefixes, and the prefixes follow from the known tests; so the trainer
+    extracts a record's features at most once per set of known tests it is
+    trained on. In k-fold that is once per record whenever every fold's
+    training records span all tests.
+    """
+    # Per set of known tests: its context, and the features extracted under
+    # it by record identity (hashing a record by value costs more than the
+    # lookup saves). Each entry keeps its record alive, so ids stay unique.
+    contexts: dict[
+        frozenset[TestId],
+        tuple[FeatureContext, dict[int, tuple[FailureRecord, FeatureVector]]],
+    ] = {}
+
+    def train(records: Sequence[FailureRecord]) -> Predictor:
+        known = frozenset(r.test for r in records)
+        if known not in contexts:
+            context = FeatureContext(KnownTests(known), default_cut_prefixes(known))
+            contexts[known] = (context, {})
+        context, extracted = contexts[known]
+
+        def features(record: FailureRecord) -> FeatureVector:
+            entry = extracted.get(id(record))
+            if entry is None:
+                entry = (record, context.features(normalize(record)))
+                extracted[id(record)] = entry
+            return entry[1]
+
+        data = [(features(r), r.label) for r in records]
+        if oversample_threshold is not None:
+            data = oversample(data, oversample_threshold, seed)
+        model = fit(data)
+        return lambda record: model.predict(features(record))
+
+    return train
 
 
 def tree_trainer(
@@ -392,24 +445,11 @@ def tree_trainer(
     oversample_threshold: float | None = None,
     seed: int = 0,
 ) -> Trainer:
-    def train(records: Sequence[FailureRecord]) -> Predictor:
-        known, cut_prefixes = _feature_context(records)
-        data = [
-            (extract_features(normalize(r), known, cut_prefixes), r.label)
-            for r in records
-        ]
-        if oversample_threshold is not None:
-            data = oversample(data, oversample_threshold, seed)
-        model = train_decision_tree(data, max_depth=max_depth, min_leaf=min_leaf)
-
-        def predictor(record: FailureRecord) -> Label:
-            return model.predict(
-                extract_features(normalize(record), known, cut_prefixes)
-            )
-
-        return predictor
-
-    return train
+    return feature_trainer(
+        lambda data: train_decision_tree(data, max_depth=max_depth, min_leaf=min_leaf),
+        oversample_threshold,
+        seed,
+    )
 
 
 def bayes_trainer(
@@ -417,24 +457,9 @@ def bayes_trainer(
     oversample_threshold: float | None = None,
     seed: int = 0,
 ) -> Trainer:
-    def train(records: Sequence[FailureRecord]) -> Predictor:
-        known, cut_prefixes = _feature_context(records)
-        data = [
-            (extract_features(normalize(r), known, cut_prefixes), r.label)
-            for r in records
-        ]
-        if oversample_threshold is not None:
-            data = oversample(data, oversample_threshold, seed)
-        model = train_naive_bayes(data, smoothing)
-
-        def predictor(record: FailureRecord) -> Label:
-            return model.predict(
-                extract_features(normalize(record), known, cut_prefixes)
-            )
-
-        return predictor
-
-    return train
+    return feature_trainer(
+        lambda data: train_naive_bayes(data, smoothing), oversample_threshold, seed
+    )
 
 
 def tfidf_trainer() -> Trainer:

@@ -234,9 +234,11 @@ def read_corpus_xml(doc: bytes | str | IO[bytes]) -> Corpus:
     if root.tag != "Corpus":
         raise SchemaError(f"root element must be <Corpus>, found <{root.tag}>")
     corpus = Corpus()
+    # Frames recur across failures; equal lines share one parsed frame.
+    frames: dict[str, StackFrame] = {}
     for child in root:
         if child.tag == "Failure":
-            corpus.add(_read_failure(child, None))
+            corpus.add(_read_failure(child, None, frames))
         elif child.tag == "Project":
             name = child.get("name")
             if not name:
@@ -246,13 +248,17 @@ def read_corpus_xml(doc: bytes | str | IO[bytes]) -> Corpus:
                     raise SchemaError(
                         f"unexpected element <{sub.tag}> under <Project>"
                     )
-                corpus.add(_read_failure(sub, name))
+                corpus.add(_read_failure(sub, name, frames))
         else:
             raise SchemaError(f"unexpected element <{child.tag}> under <Corpus>")
     return corpus
 
 
-def _read_failure(elem: ET.Element, enclosing_project: str | None) -> FailureRecord:
+def _read_failure(
+    elem: ET.Element,
+    enclosing_project: str | None,
+    parsed_frames: dict[str, StackFrame],
+) -> FailureRecord:
     label_attr = elem.get("label", "flaky")
     if label_attr not in _LABELS:
         raise SchemaError(f"<Failure> has unknown label {label_attr!r}")
@@ -292,10 +298,14 @@ def _read_failure(elem: ET.Element, enclosing_project: str | None) -> FailureRec
     for line_elem in s_elem:
         if line_elem.tag != "line":
             raise SchemaError(f"unexpected element <{line_elem.tag}> under <S>")
-        try:
-            frames.append(parse_frame((line_elem.text or "").strip()))
-        except MalformedFrame as exc:
-            raise SchemaError(f"bad <line> element: {exc}") from exc
+        text = (line_elem.text or "").strip()
+        frame = parsed_frames.get(text)
+        if frame is None:
+            try:
+                frame = parsed_frames[text] = parse_frame(text)
+            except MalformedFrame as exc:
+                raise SchemaError(f"bad <line> element: {exc}") from exc
+        frames.append(frame)
 
     return FailureRecord(
         test=TestId(project, class_fqn, method),

@@ -10,10 +10,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import Iterable, Union
 
 from .errors import ModeMismatch
 from .ingest import NormalizedFailure, normalize
-from .model import Corpus, Label, TestId
+from .model import Corpus, FailureRecord, KnownTests, Label, TestId, record_id
 
 
 class MatchMode(Enum):
@@ -90,7 +92,7 @@ def signature(
     nf: NormalizedFailure,
     mode: MatchMode = MatchMode.FULL,
     scope: MatchScope = MatchScope.PER_TEST,
-    known_tests: frozenset[TestId] | set[TestId] = frozenset(),
+    known_tests: KnownTests | Iterable[TestId] = frozenset(),
     strip_line_numbers: bool = False,
 ) -> FailureSignature:
     """Build the canonical signature of a normalized failure.
@@ -100,23 +102,25 @@ def signature(
     that want coarser keys). Under CROSS_TEST scope, frames whose class
     equals the failure's own test class, or whose class.method is prefixed by
     any known test's full name, are removed before keying. Under
-    EXCEPTION_ONLY mode there are no frame keys.
+    EXCEPTION_ONLY mode there are no frame keys. Pass a :class:`KnownTests`
+    to reuse its name lookup across calls.
     """
     if mode is MatchMode.EXCEPTION_ONLY:
         keys: tuple[str, ...] = ()
     else:
         frames = nf.kept_frames
         if scope is MatchScope.CROSS_TEST:
+            known = (
+                known_tests
+                if isinstance(known_tests, KnownTests)
+                else KnownTests(known_tests)
+            )
             own_class = nf.base.test.class_fqn
-            test_names = sorted(t.full_name() for t in known_tests)
             frames = tuple(
                 f
                 for f in frames
                 if f.class_fqn != own_class
-                and not any(
-                    f"{f.class_fqn}.{f.method}".startswith(name)
-                    for name in test_names
-                )
+                and not known.prefixes(f"{f.class_fqn}.{f.method}")
             )
         keys = tuple(_frame_key(f, strip_line_numbers) for f in frames)
     return FailureSignature(nf.base.exception_type, keys, mode, scope)
@@ -143,23 +147,26 @@ def triage(
     PER_TEST scope compares only against history records of the same test;
     CROSS_TEST compares against all records of the same project. An empty
     relevant history yields MATCHED_NONE (predicted true), not an error.
+    Evidence lists the matching flaky records, then the matching true ones,
+    each in history order.
     """
     test = nf.base.test
-    project = test.project
-    known = frozenset(history.tests(project)) | {test}
+    if scope is MatchScope.PER_TEST:
+        candidate_tests = [test]
+        known: KnownTests | frozenset[TestId] = frozenset()
+    else:
+        candidate_tests = history.tests(test.project)
+        known = KnownTests([*candidate_tests, test])
     target = signature(nf, mode, scope, known)
 
     flaky_hits: list[str] = []
     true_hits: list[str] = []
-    for record_id, record in history.identified_records(project):
-        if scope is MatchScope.PER_TEST and record.test != test:
-            continue
-        candidate = signature(normalize(record), mode, scope, known)
-        if matches(target, candidate):
-            if record.label is Label.FLAKY:
-                flaky_hits.append(record_id)
-            else:
-                true_hits.append(record_id)
+    for candidate_test in candidate_tests:
+        for label, hits in ((Label.FLAKY, flaky_hits), (Label.TRUE, true_hits)):
+            for i, record in enumerate(history.bucket(candidate_test, label)):
+                candidate = signature(normalize(record), mode, scope, known)
+                if matches(target, candidate):
+                    hits.append(record_id(candidate_test, label, i))
 
     if flaky_hits and true_hits:
         basis = TriageBasis.MATCHED_BOTH
@@ -173,6 +180,76 @@ def triage(
         Label.FLAKY if basis is TriageBasis.MATCHED_FLAKY_ONLY else Label.TRUE
     )
     return TriageVerdict(predicted, basis, tuple(flaky_hits + true_hits))
+
+
+# --- per-project index -------------------------------------------------------
+
+
+class ProjectIndex:
+    """A set of failure records with the facts derived from them, each once.
+
+    Holds every record's normalized failure and the records' tests as the
+    known tests, and builds each record's match key per mode and scope on
+    first use: ``(test, signature)`` under PER_TEST, the signature alone
+    under CROSS_TEST, where the known tests' frames are dropped.
+    """
+
+    def __init__(self, records: Iterable[FailureRecord]) -> None:
+        self.records = tuple(records)
+        self.normalized = tuple(normalize(r) for r in self.records)
+        self._keys: dict[tuple[MatchMode, MatchScope], tuple[object, ...]] = {}
+
+    @cached_property
+    def known(self) -> KnownTests:
+        """The records' tests; only the CROSS_TEST keys need them."""
+        return KnownTests(r.test for r in self.records)
+
+    def key(self, nf: NormalizedFailure, mode: MatchMode, scope: MatchScope) -> object:
+        """Match key of any normalized failure against these known tests."""
+        if scope is MatchScope.PER_TEST:
+            return (nf.base.test, signature(nf, mode, scope))
+        return signature(nf, mode, scope, self.known)
+
+    def keys(self, mode: MatchMode, scope: MatchScope) -> tuple[object, ...]:
+        """Match key of every record, in record order."""
+        keys = self._keys.get((mode, scope))
+        if keys is None:
+            keys = tuple(self.key(nf, mode, scope) for nf in self.normalized)
+            self._keys[(mode, scope)] = keys
+        return keys
+
+
+class CorpusIndex:
+    """One :class:`ProjectIndex` per project of a corpus, each built on first use.
+
+    A project's index holds its records in :meth:`Corpus.records` order
+    (tests sorted, flaky bucket first), so it knows all of the project's tests.
+    Share one CorpusIndex between reports on the same corpus so that each
+    failure is normalized and keyed once; the corpus must not change while
+    the index is in use.
+    """
+
+    def __init__(self, corpus: Corpus) -> None:
+        self.corpus = corpus
+        self._projects: dict[str, ProjectIndex] = {}
+
+    @staticmethod
+    def of(corpus: Indexable) -> CorpusIndex:
+        """``corpus`` itself if it is already an index, else a new index of it."""
+        return corpus if isinstance(corpus, CorpusIndex) else CorpusIndex(corpus)
+
+    def project_names(self) -> list[str]:
+        return self.corpus.project_names()
+
+    def project(self, name: str) -> ProjectIndex:
+        index = self._projects.get(name)
+        if index is None:
+            index = ProjectIndex(self.corpus.records(name))
+            self._projects[name] = index
+        return index
+
+
+Indexable = Union[Corpus, CorpusIndex]
 
 
 @dataclass(frozen=True)
@@ -211,40 +288,34 @@ class RepetitivenessReport:
         )
 
 
-def repetitiveness(corpus: Corpus) -> RepetitivenessReport:
+def repetitiveness(corpus: Indexable) -> RepetitivenessReport:
     """How often each project's flaky failures recur, per test and across tests."""
+    index = CorpusIndex.of(corpus)
     per_project: dict[str, ProjectRepetitiveness] = {}
-    for project in corpus.project_names():
-        tests = corpus.tests(project)
-        known = frozenset(tests)
-        per_test_groups: Counter[tuple[TestId, FailureSignature]] = Counter()
-        cross_groups: Counter[FailureSignature] = Counter()
-        record_keys: list[tuple[tuple[TestId, FailureSignature], FailureSignature]] = []
-        tests_with_flaky = 0
-        for test in tests:
-            bucket = corpus.bucket(test, Label.FLAKY)
-            if bucket:
-                tests_with_flaky += 1
-            for record in bucket:
-                nf = normalize(record)
-                per_test_key = (test, signature(nf, MatchMode.FULL, MatchScope.PER_TEST))
-                cross_key = signature(nf, MatchMode.FULL, MatchScope.CROSS_TEST, known)
-                per_test_groups[per_test_key] += 1
-                cross_groups[cross_key] += 1
-                record_keys.append((per_test_key, cross_key))
-        flaky_total = len(record_keys)
-        uniq_per_test = sum(
-            1 for pt, _ in record_keys if per_test_groups[pt] == 1
-        )
-        uniq_cross = sum(1 for _, ck in record_keys if cross_groups[ck] == 1)
-        if flaky_total:
-            per_project[project] = ProjectRepetitiveness(
-                tests=tests_with_flaky,
-                flaky=flaky_total,
-                distinct=len(per_test_groups),
-                uniq_per_test=uniq_per_test,
-                repet_per_test=flaky_total - uniq_per_test,
-                uniq_cross=uniq_cross,
-                repet_cross=flaky_total - uniq_cross,
+    for project in index.project_names():
+        pindex = index.project(project)
+        flaky = [
+            (record.test, per_test_key, cross_key)
+            for record, per_test_key, cross_key in zip(
+                pindex.records,
+                pindex.keys(MatchMode.FULL, MatchScope.PER_TEST),
+                pindex.keys(MatchMode.FULL, MatchScope.CROSS_TEST),
             )
+            if record.label is Label.FLAKY
+        ]
+        if not flaky:
+            continue
+        per_test_groups = Counter(pt for _, pt, _ in flaky)
+        cross_groups = Counter(ck for _, _, ck in flaky)
+        uniq_per_test = sum(1 for _, pt, _ in flaky if per_test_groups[pt] == 1)
+        uniq_cross = sum(1 for _, _, ck in flaky if cross_groups[ck] == 1)
+        per_project[project] = ProjectRepetitiveness(
+            tests=len({test for test, _, _ in flaky}),
+            flaky=len(flaky),
+            distinct=len(per_test_groups),
+            uniq_per_test=uniq_per_test,
+            repet_per_test=len(flaky) - uniq_per_test,
+            uniq_cross=uniq_cross,
+            repet_cross=len(flaky) - uniq_cross,
+        )
     return RepetitivenessReport(per_project)

@@ -7,11 +7,16 @@ threads.
 """
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import UnlabeledRecord
+
+# Matches exactly the characters str.isspace() accepts, in one native scan.
+_find_whitespace = re.compile(r"\s").search
 
 
 class Label(Enum):
@@ -47,6 +52,49 @@ def full_test_name(test: TestId) -> str:
     return test.full_name()
 
 
+def record_id(test: TestId, label: Label, position: int) -> str:
+    """Stable identifier of the record at ``position`` in a test's label bucket."""
+    return f"{test.project}/{test.full_name()}/{label.value}[{position}]"
+
+
+class KnownTests:
+    """A set of tests, indexed to ask whether a text starts with a test's name.
+
+    Full names are held in a set and probed once per distinct name length, so
+    a lookup costs a few set probes however many tests there are. Names are
+    compared as text: tests of different projects that share a full name are
+    one name here.
+    """
+
+    def __init__(self, tests: Iterable[TestId]) -> None:
+        self.tests = frozenset(tests)
+        self.classes = frozenset(t.class_fqn for t in self.tests)
+        self._name_counts = Counter(t.full_name() for t in self.tests)
+        self._lengths = sorted({len(name) for name in self._name_counts})
+
+    def prefixes(self, text: str, excluding: str | None = None) -> bool:
+        """True iff some known full name other than ``excluding`` starts ``text``."""
+        names = self._name_counts
+        size = len(text)
+        for length in self._lengths:
+            if length > size:
+                break
+            head = text[:length]
+            if head in names and head != excluding:
+                return True
+        return False
+
+    def name_to_exclude(self, test: TestId) -> str | None:
+        """``test``'s full name, unless another known test has the same name.
+
+        Passed as ``excluding`` to :meth:`prefixes`, it asks about the known
+        tests other than ``test`` itself.
+        """
+        name = test.full_name()
+        others = self._name_counts.get(name, 0) - (test in self.tests)
+        return None if others else name
+
+
 @dataclass(frozen=True)
 class StackFrame:
     """One stack-trace line: class, method, and source position.
@@ -63,7 +111,7 @@ class StackFrame:
     raw: str
 
     def __post_init__(self) -> None:
-        if not self.class_fqn or any(ch.isspace() for ch in self.class_fqn):
+        if not self.class_fqn or _find_whitespace(self.class_fqn):
             raise ValueError(f"bad class name in frame {self.raw!r}")
         if not self.method:
             raise ValueError(f"missing method name in frame {self.raw!r}")
@@ -171,7 +219,7 @@ class Corpus:
         for test in self.tests(project):
             for label in (Label.FLAKY, Label.TRUE):
                 for i, record in enumerate(self.bucket(test, label)):
-                    yield f"{project}/{test.full_name()}/{label.value}[{i}]", record
+                    yield record_id(test, label, i), record
 
     def count(self, project: str | None = None, label: Label | None = None) -> int:
         return sum(1 for _ in self.records(project, label))

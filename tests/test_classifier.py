@@ -18,7 +18,7 @@ from flaketriage.classifier import (
     train_decision_tree,
     train_naive_bayes,
 )
-from flaketriage.errors import EmptyDataset
+from flaketriage.errors import EmptyDataset, FlakeTriageError, ModelFormatError
 from flaketriage.ingest import normalize, parse_failure_text
 from flaketriage.model import Label, TestId
 
@@ -348,3 +348,30 @@ def test_model_serialization_round_trips_predictions(kind):
 def test_load_model_rejects_foreign_documents():
     with pytest.raises(ValueError):
         load_model('{"format": "something-else", "version": 1}')
+
+
+_HEADER = '"format": "failure-log-classifier", "version": 1'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{",  # not JSON
+        "[]",  # JSON, but not an object
+        '"tree"',
+        "{" + _HEADER + "}",  # no kind
+        "{" + _HEADER + ', "kind": "decision_tree"}',  # no tree
+        "{" + _HEADER + ', "kind": "decision_tree", "training_summary": {},'
+        ' "tree": {"leaf": {"label": "maybe", "n_flaky": 0, "n_true": 0}}}',
+        "{" + _HEADER + ', "kind": "decision_tree", "training_summary": {},'
+        ' "tree": 3}',
+        "{" + _HEADER + ', "kind": "naive_bayes", "class_counts": []}',
+        "{" + _HEADER + ', "kind": "random_forest"}',
+        '{"format": "failure-log-classifier", "version": 2, "kind": "naive_bayes"}',
+        '{"format": "something-else", "version": 1}',
+    ],
+)
+def test_load_model_raises_only_model_format_errors(text):
+    with pytest.raises(ModelFormatError) as info:
+        load_model(text)
+    assert isinstance(info.value, FlakeTriageError)

@@ -241,6 +241,38 @@ def test_evaluate_cv_reports_and_files(synth_corpus, tmp_path, capsys):
     assert all(f["project"] == "proj00" for f in folds)
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--k", "1"), ("--k", "0"), ("--k", "-1"), ("--jobs", "0"), ("--jobs", "-2")],
+)
+def test_evaluate_rejects_out_of_range_counts_as_usage_errors(
+    synth_corpus, capsys, flag, value
+):
+    code, out, err = run(
+        capsys, "evaluate", "--corpus", synth_corpus, "--method", "tree", flag, value
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"argument {flag}: must be at least" in err
+
+
+def test_evaluate_non_integer_count_is_usage_error(synth_corpus, capsys):
+    code, _, err = run(
+        capsys, "evaluate", "--corpus", synth_corpus, "--method", "tree", "--k", "two"
+    )
+    assert code == EXIT_USAGE
+    assert "invalid int value: 'two'" in err
+
+
+def test_evaluate_smallest_valid_counts_run(synth_corpus, capsys):
+    code, out, _ = run(
+        capsys, "evaluate", "--corpus", synth_corpus, "--method", "tree",
+        "--k", "2", "--jobs", "1",
+    )
+    assert code == EXIT_OK
+    assert "k=2" in out
+
+
 def test_evaluate_skips_small_projects(workdir, capsys):
     code, out, _ = run(
         capsys, "evaluate", "--corpus", workdir / "corpus.xml", "--method", "tree"

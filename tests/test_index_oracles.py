@@ -1,0 +1,291 @@
+"""The shared index against the straightforward code it replaced.
+
+Feature extraction, the cross-test frame filter and triage each once
+recomputed everything per record: a sorted scan over every known test name,
+a walk over the whole project. The oracles below are those implementations,
+kept verbatim; the indexed paths must agree with them exactly.
+"""
+from __future__ import annotations
+
+import itertools
+
+import pytest
+
+from conftest import frame, random_corpus, record
+from flaketriage.classifier import (
+    FeatureVector,
+    default_cut_prefixes,
+    extract_features,
+    train_decision_tree,
+    train_naive_bayes,
+)
+from flaketriage.evaluation import (
+    bayes_trainer,
+    cross_validate_project,
+    tree_trainer,
+)
+from flaketriage.ingest import normalize
+from flaketriage.matching import (
+    FailureSignature,
+    MatchMode,
+    MatchScope,
+    ProjectIndex,
+    TriageBasis,
+    TriageVerdict,
+    matches,
+    signature,
+    triage,
+)
+from flaketriage.model import Corpus, KnownTests, Label, TestId
+
+SEEDS = range(50)
+# random_corpus draws no framework frames; let its Lib1 classes stand in.
+FRAMEWORK = tuple(f"com.p{p}.Lib1" for p in range(3))
+
+
+# --- oracles -----------------------------------------------------------------
+
+
+def oracle_features(nf, known_tests, cut_prefixes=None,
+                    framework_prefixes=frozenset({"org.junit.", "junit."})):
+    known = set(known_tests)
+    if cut_prefixes is None:
+        cut_prefixes = default_cut_prefixes(known | {nf.base.test})
+    cut_prefixes = tuple(cut_prefixes)
+    framework_prefixes = tuple(framework_prefixes)
+
+    test = nf.base.test
+    full_name = test.full_name()
+    other_names = sorted(t.full_name() for t in known if t != test)
+    test_classes = {t.class_fqn for t in known} | {test.class_fqn}
+
+    lines = [f.render() for f in nf.kept_frames]
+    return FeatureVector(
+        exception_type=nf.base.exception_type,
+        test_name_in_trace=any(line.startswith(full_name) for line in lines),
+        test_class_in_trace=any(test.class_fqn in line for line in lines),
+        other_tests_in_trace=any(
+            line.startswith(name) for line in lines for name in other_names
+        ),
+        junit_in_trace=any(
+            f.class_fqn.startswith(prefix)
+            for f in nf.kept_frames
+            for prefix in framework_prefixes
+        ),
+        cut_in_trace=any(
+            f.class_fqn not in test_classes
+            and any(f.class_fqn.startswith(prefix) for prefix in cut_prefixes)
+            for f in nf.kept_frames
+        ),
+    )
+
+
+def oracle_cross_test_signature(nf, known_tests, strip_line_numbers=False):
+    frames = nf.kept_frames
+    own_class = nf.base.test.class_fqn
+    test_names = sorted(t.full_name() for t in known_tests)
+    frames = tuple(
+        f
+        for f in frames
+        if f.class_fqn != own_class
+        and not any(
+            f"{f.class_fqn}.{f.method}".startswith(name) for name in test_names
+        )
+    )
+    keys = tuple(
+        f"{f.class_fqn}.{f.method}({f.file})"
+        if strip_line_numbers and f.file is not None and f.line is not None
+        else f.render()
+        for f in frames
+    )
+    return FailureSignature(
+        nf.base.exception_type, keys, MatchMode.FULL, MatchScope.CROSS_TEST
+    )
+
+
+def oracle_triage(nf, history, mode, scope):
+    test = nf.base.test
+    project = test.project
+    known = frozenset(history.tests(project)) | {test}
+    target = signature(nf, mode, scope, known)
+    flaky_hits, true_hits = [], []
+    for record_id, rec in history.identified_records(project):
+        if scope is MatchScope.PER_TEST and rec.test != test:
+            continue
+        if matches(target, signature(normalize(rec), mode, scope, known)):
+            (flaky_hits if rec.label is Label.FLAKY else true_hits).append(record_id)
+    if flaky_hits and true_hits:
+        basis = TriageBasis.MATCHED_BOTH
+    elif flaky_hits:
+        basis = TriageBasis.MATCHED_FLAKY_ONLY
+    elif true_hits:
+        basis = TriageBasis.MATCHED_TRUE
+    else:
+        basis = TriageBasis.MATCHED_NONE
+    predicted = Label.FLAKY if basis is TriageBasis.MATCHED_FLAKY_ONLY else Label.TRUE
+    return TriageVerdict(predicted, basis, tuple(flaky_hits + true_hits))
+
+
+def oracle_trainer(fit):
+    def train(records):
+        known = frozenset(r.test for r in records)
+        cut = default_cut_prefixes(known)
+        model = fit([(oracle_features(normalize(r), known, cut), r.label) for r in records])
+        return lambda r: model.predict(oracle_features(normalize(r), known, cut))
+
+    return train
+
+
+# --- known-test universes ---------------------------------------------------
+
+
+def known_variants(corpus: Corpus, project: str):
+    """The project's tests, plus the universes that stress the name lookup."""
+    tests = corpus.tests(project)
+    yield tests
+    yield []
+    yield tests[1:]  # the first test's own records lack their test
+    # another project's tests with the same full names
+    yield tests + [TestId("elsewhere", t.class_fqn, t.method) for t in tests[:2]]
+    # names that are prefixes of one another
+    yield tests + [TestId(project, t.class_fqn, t.method + "X") for t in tests]
+
+
+# --- features and cross-test signatures ---------------------------------------
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_features_and_cross_test_signatures_match_the_oracles(seed):
+    corpus = random_corpus(seed, max_records=120)
+    for project in corpus.project_names():
+        index = ProjectIndex(corpus.records(project))
+        nfs = index.normalized
+        for nf, cross_key in zip(nfs, index.keys(MatchMode.FULL, MatchScope.CROSS_TEST)):
+            assert cross_key == oracle_cross_test_signature(nf, corpus.tests(project))
+        for known in known_variants(corpus, project):
+            for nf in nfs:
+                want = oracle_cross_test_signature(nf, known)
+                assert signature(nf, MatchMode.FULL, MatchScope.CROSS_TEST, set(known)) == want
+                assert signature(
+                    nf, MatchMode.FULL, MatchScope.CROSS_TEST, KnownTests(known), True
+                ) == oracle_cross_test_signature(nf, known, True)
+                assert extract_features(nf, known) == oracle_features(nf, known)
+                for cut in ({"com."}, default_cut_prefixes(known), ()):
+                    assert extract_features(nf, known, cut) == oracle_features(nf, known, cut)
+                    assert extract_features(nf, known, cut, FRAMEWORK) == (
+                        oracle_features(nf, known, cut, FRAMEWORK)
+                    )
+
+
+def test_oracles_cover_each_feature_both_ways():
+    seen = {name: set() for name in FeatureVector.__dataclass_fields__}
+    for seed in SEEDS:
+        corpus = random_corpus(seed, max_records=120)
+        for project in corpus.project_names():
+            for known in known_variants(corpus, project):
+                for r in corpus.records(project):
+                    fv = oracle_features(normalize(r), known, None, FRAMEWORK)
+                    for name in seen:
+                        seen[name].add(getattr(fv, name))
+    del seen["exception_type"]
+    assert all(values == {False, True} for values in seen.values()), seen
+
+
+def _edge_case_features(frames, known, test):
+    nf = normalize(record(test, frames=tuple(frames)))
+    return extract_features(nf, known, {"a."}), oracle_features(nf, known, {"a."})
+
+
+def test_same_full_name_in_another_project_counts_as_another_test():
+    test = TestId("p", "a.B", "test")
+    twin = TestId("q", "a.B", "test")
+    frames = [frame("lib.X", "run", "X.java", 1), frame("a.B", "test", "B.java", 5)]
+    got, want = _edge_case_features(frames, {test, twin}, test)
+    assert got == want
+    assert got.other_tests_in_trace
+    got, want = _edge_case_features(frames, {test}, test)
+    assert got == want
+    assert not got.other_tests_in_trace
+
+
+def test_own_test_missing_from_known_tests():
+    test = TestId("p", "a.B", "test")
+    frames = [frame("a.B", "test", "B.java", 5)]
+    got, want = _edge_case_features(frames, {TestId("p", "a.C", "other")}, test)
+    assert got == want and not got.other_tests_in_trace
+    # a known test sharing the name of the (unknown) own test is "other"
+    got, want = _edge_case_features(frames, {TestId("q", "a.B", "test")}, test)
+    assert got == want and got.other_tests_in_trace
+
+
+def test_empty_known_tests():
+    test = TestId("p", "a.B", "test")
+    frames = [frame("a.Lib", "go", "Lib.java", 2), frame("a.B", "test", "B.java", 5)]
+    got, want = _edge_case_features(frames, set(), test)
+    assert got == want
+    assert (got.other_tests_in_trace, got.cut_in_trace) == (False, True)
+    nf = normalize(record(test, frames=tuple(frames)))
+    assert signature(nf, MatchMode.FULL, MatchScope.CROSS_TEST) == (
+        oracle_cross_test_signature(nf, ())
+    )
+
+
+def test_test_names_that_prefix_one_another():
+    short = TestId("p", "a.B", "test")
+    long = TestId("p", "a.B", "testX")
+    in_long = [frame("a.Lib", "go", "Lib.java", 2), frame("a.B", "testX", "B.java", 9)]
+    in_short = [frame("a.Lib", "go", "Lib.java", 2), frame("a.B", "test", "B.java", 9)]
+    for test, frames in itertools.product((short, long), (in_long, in_short)):
+        got, want = _edge_case_features(frames, {short, long}, test)
+        assert got == want
+    # "a.B.testX(...)" starts with the short test's name: another test's frame
+    got, _ = _edge_case_features(in_long, {short, long}, long)
+    assert got.other_tests_in_trace
+    got, _ = _edge_case_features(in_short, {short, long}, short)
+    assert not got.other_tests_in_trace
+    helper = TestId("p", "a.Helper", "run")
+    nf = normalize(record(helper, frames=tuple(in_long)))
+    for known in ({short}, {long}, {short, long}):
+        assert signature(nf, MatchMode.FULL, MatchScope.CROSS_TEST, known) == (
+            oracle_cross_test_signature(nf, known)
+        )
+        assert signature(nf, MatchMode.FULL, MatchScope.CROSS_TEST, known).frame_keys == (
+            "a.Lib.go(Lib.java:2)",
+        )
+
+
+# --- consumers of the index ---------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_triage_matches_the_whole_project_walk(seed):
+    corpus = random_corpus(seed, max_records=80)
+    records = list(corpus.records())
+    for query in records[:: max(1, len(records) // 6)]:
+        nf = normalize(query)
+        for mode, scope in itertools.product(MatchMode, MatchScope):
+            assert triage(nf, corpus, mode, scope) == oracle_triage(nf, corpus, mode, scope)
+    stranger = normalize(record(TestId("p0", "com.p0.New", "m"), frames=records[0].frames))
+    for mode, scope in itertools.product(MatchMode, MatchScope):
+        assert triage(stranger, corpus, mode, scope) == oracle_triage(stranger, corpus, mode, scope)
+
+
+@pytest.mark.parametrize("seed", range(0, 50, 5))
+@pytest.mark.parametrize(
+    "trainer, fit",
+    [(tree_trainer, train_decision_tree), (bayes_trainer, train_naive_bayes)],
+    ids=["tree", "bayes"],
+)
+def test_cv_with_feature_reuse_matches_per_fold_extraction(seed, trainer, fit):
+    corpus = random_corpus(seed, max_records=250)
+    shared = trainer()  # one trainer across projects, as the CLI uses it
+    compared = 0
+    for project in corpus.project_names():
+        flaky = list(corpus.records(project, Label.FLAKY))
+        true = list(corpus.records(project, Label.TRUE))
+        if min(len(flaky), len(true)) < 3:
+            continue
+        got = cross_validate_project(flaky, true, 3, shared, seed)
+        assert got == cross_validate_project(flaky, true, 3, oracle_trainer(fit), seed)
+        compared += 1
+    assert compared

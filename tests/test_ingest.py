@@ -269,6 +269,16 @@ def test_read_alluxio_corpus(alluxio_xml):
     assert flaky[0].message == ALLUXIO_MESSAGE_1
 
 
+def test_read_shares_one_frame_per_distinct_line(alluxio_xml):
+    first, second = read_corpus_xml(alluxio_xml).records()
+    assert first.frames == second.frames
+    assert all(a is b for a, b in zip(first.frames, second.frames))
+    # surrounding whitespace is not part of the line
+    padded = alluxio_xml.replace(b"<line>", b"<line>\n  ", 1)
+    first, second = read_corpus_xml(padded).records()
+    assert first.frames[0] is second.frames[0]
+
+
 def test_read_empty_corpus():
     assert read_corpus_xml(b"<Corpus/>").count() == 0
 

@@ -1,4 +1,6 @@
 """Domain-type invariants and corpus bookkeeping."""
+import re
+import sys
 from collections import Counter
 
 import pytest
@@ -51,6 +53,21 @@ def test_frame_rejects_whitespace_class_and_negative_line():
         StackFrame("a b", "m", None, None, "a b.m(Native Method)")
     with pytest.raises(ValueError):
         StackFrame("a.B", "m", "B.java", -1, "a.B.m(B.java:-1)")
+
+
+def test_regex_whitespace_class_agrees_with_str_isspace():
+    # StackFrame rejects class names by r"\s"; it must mean str.isspace().
+    every_char = "".join(map(chr, range(sys.maxunicode + 1)))
+    by_regex = {m.start() for m in re.finditer(r"\s", every_char)}
+    by_isspace = {i for i, ch in enumerate(every_char) if ch.isspace()}
+    assert by_regex == by_isspace
+    assert len(by_isspace) > 20
+
+
+@pytest.mark.parametrize("space", [" ", "\t", "\u00a0", "\u2028", "\u3000", "\x1c"])
+def test_frame_rejects_any_unicode_whitespace_in_class(space):
+    with pytest.raises(ValueError):
+        StackFrame(f"a{space}B", "m", None, None, "raw")
 
 
 def test_record_requires_exception_type():
