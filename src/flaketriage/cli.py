@@ -257,6 +257,7 @@ def _cmd_evaluate(args) -> int:
     projects = corpus.project_names()
     report_dir = Path(args.report_dir) if args.report_dir else None
     if report_dir is not None:
+        stems = _report_stems(projects)
         report_dir.mkdir(parents=True, exist_ok=True)
 
     sections: list[str] = []
@@ -271,7 +272,7 @@ def _cmd_evaluate(args) -> int:
             for project, (score, *_rest) in results.items():
                 _write_report(
                     report_dir,
-                    project,
+                    stems[project],
                     evaluation.render_matching_table({project: results[project]}),
                     [evaluation.matching_record_json(project, score)],
                 )
@@ -317,7 +318,7 @@ def _cmd_evaluate(args) -> int:
             for name, cv in per_project.items():
                 _write_report(
                     report_dir,
-                    name,
+                    stems[name],
                     evaluation.render_cv_table(
                         evaluation.CorpusCvResult({name: cv}, {}),
                         {name: counts[name]},
@@ -369,10 +370,24 @@ def _safe_filename(project: str) -> str:
     return "".join(c if c.isalnum() or c in "-._" else "_" for c in project)
 
 
+def _report_stems(projects: list[str]) -> dict[str, str]:
+    """Each project's report file stem; two projects may not share one."""
+    stems: dict[str, str] = {}
+    owners: dict[str, str] = {}
+    for project in projects:
+        stem = stems[project] = _safe_filename(project)
+        if stem in owners:
+            raise FlakeTriageError(
+                f"projects {owners[stem]!r} and {project!r} would both write "
+                f"the report {stem}.txt"
+            )
+        owners[stem] = project
+    return stems
+
+
 def _write_report(
-    report_dir: Path, project: str, table: str, json_lines: list[str]
+    report_dir: Path, stem: str, table: str, json_lines: list[str]
 ) -> None:
-    stem = _safe_filename(project)
     (report_dir / f"{stem}.txt").write_text(table + "\n", encoding="utf-8")
     (report_dir / f"{stem}.jsonl").write_text(
         "\n".join(json_lines) + "\n", encoding="utf-8"

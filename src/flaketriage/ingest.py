@@ -24,6 +24,14 @@ _FRAME_RE = re.compile(r"^(?P<loc>[^\s()]+)\((?P<where>[^()]*)\)$")
 _SOURCE_RE = re.compile(r"^(?P<file>[^:]+):(?P<line>\d+)$")
 _NO_SOURCE = ("Native Method", "Unknown Source")
 
+# What the JVM's default handler writes before an uncaught exception, e.g.
+#   Exception in thread "main" java.lang.RuntimeException: boom
+# The thread name ends at the first quote followed by a space.
+_THREAD_PREFIX_RE = re.compile(r'Exception in thread ".*?" (?=\S)')
+# Lines that start a nested trace (a cause, or an exception suppressed by
+# try-with-resources); the primary trace ends at either.
+_TRACE_ENDS = ("Caused by:", "Suppressed:")
+
 # Non-deterministic reflection accessors synthesized by the JVM, e.g.
 #   sun.reflect.GeneratedMethodAccessor42.invoke(...)
 #   jdk.internal.reflect.GeneratedConstructorAccessor7.newInstance(...)
@@ -93,8 +101,9 @@ def parse_failure_text(
     """Parse one raw failure log into an (unlabeled) FailureRecord.
 
     The first non-blank line must be the exception header, optionally
-    followed by ``: message``. Frame lines start with optional whitespace and
-    ``at ``; anything else is ignored, and a ``Caused by:`` line ends the
+    followed by ``: message``; a JVM ``Exception in thread "NAME" `` prefix is
+    dropped. Frame lines start with optional whitespace and ``at ``; anything
+    else is ignored, and a ``Caused by:`` or ``Suppressed:`` line ends the
     primary trace. Malformed frame lines are skipped, with a note appended to
     ``diagnostics`` when a list is supplied.
     """
@@ -110,6 +119,9 @@ def parse_failure_text(
         raise MalformedLog("no exception header: input is empty")
     if header.startswith("at "):
         raise MalformedLog("no exception header: log starts with a stack frame")
+    thread = _THREAD_PREFIX_RE.match(header)
+    if thread is not None:
+        header = header[thread.end():]
 
     head, sep, rest = header.partition(":")
     token = head.strip()
@@ -126,7 +138,7 @@ def parse_failure_text(
         stripped = line.strip()
         if not stripped:
             continue
-        if stripped.startswith("Caused by:"):
+        if stripped.startswith(_TRACE_ENDS):
             break  # only the primary trace is parsed
         if stripped.startswith("at "):
             try:
@@ -205,7 +217,7 @@ def normalize(
 #   <Failure label="flaky|true">          label optional, absent means flaky
 #     <T project="NAME">pkg.Class.method</T>
 #     <E>ExceptionType</E>
-#     <M>free text, significant verbatim</M>
+#     <M>free text, significant verbatim (a CR is written as &#13;)</M>
 #     <S><line>frame text without "at "</line>...</S>
 #   </Failure>
 # </Corpus>
@@ -214,6 +226,12 @@ def normalize(
 # group name must then agree with each inner T's project attribute.
 
 _LABELS = {"flaky": Label.FLAKY, "true": Label.TRUE}
+
+# A character outside XML 1.0's Char production: no XML 1.0 document can hold
+# it, not even as a character reference (e.g. NUL, ESC, a lone surrogate).
+_find_non_xml_char = re.compile(
+    "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]"
+).search
 
 
 def read_corpus_xml(doc: bytes | str | IO[bytes]) -> Corpus:
@@ -322,22 +340,44 @@ def write_corpus_xml(corpus: Corpus) -> bytes:
     Failures are emitted grouped by project and test in sorted order, flaky
     bucket first, preserving insertion order inside each bucket. The label
     attribute is written only for true failures (absent means flaky).
+
+    Carriage returns are written as ``&#13;`` so that XML end-of-line
+    handling cannot turn them into line feeds. Text holding a character that
+    XML 1.0 cannot carry (most C0 controls, such as the ESC of ANSI colour
+    codes, and lone surrogates) raises SchemaError; nothing is written.
     """
     root = ET.Element("Corpus")
     for project in corpus.project_names():
         for test in corpus.tests(project):
+            project_name = _xml_text(project, test)
+            name = _xml_text(test.full_name(), test)
             for label in (Label.FLAKY, Label.TRUE):
                 for record in corpus.bucket(test, label):
                     failure = ET.SubElement(root, "Failure")
                     if label is Label.TRUE:
                         failure.set("label", "true")
-                    t_elem = ET.SubElement(failure, "T", project=project)
-                    t_elem.text = test.full_name()
-                    ET.SubElement(failure, "E").text = record.exception_type
-                    ET.SubElement(failure, "M").text = record.message
+                    t_elem = ET.SubElement(failure, "T", project=project_name)
+                    t_elem.text = name
+                    e_elem = ET.SubElement(failure, "E")
+                    e_elem.text = _xml_text(record.exception_type, test)
+                    ET.SubElement(failure, "M").text = _xml_text(record.message, test)
                     s_elem = ET.SubElement(failure, "S")
                     for frame in record.frames:
-                        ET.SubElement(s_elem, "line").text = frame.raw
+                        line = ET.SubElement(s_elem, "line")
+                        line.text = _xml_text(frame.raw, test)
     tree = ET.ElementTree(root)
     ET.indent(tree, space="  ")
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n"
+    # ElementTree escapes a CR in attributes but writes it raw in element
+    # text; in UTF-8 the byte 0x0D is always a CR.
+    body = ET.tostring(root, encoding="utf-8", xml_declaration=True)
+    return body.replace(b"\r", b"&#13;") + b"\n"
+
+
+def _xml_text(text: str, test: TestId) -> str:
+    bad = _find_non_xml_char(text)
+    if bad is not None:
+        raise SchemaError(
+            f"a failure of {test.project}/{test.full_name()} holds "
+            f"U+{ord(bad.group()):04X}, which XML 1.0 cannot carry"
+        )
+    return text

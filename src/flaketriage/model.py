@@ -11,12 +11,14 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import UnlabeledRecord
 
 # Matches exactly the characters str.isspace() accepts, in one native scan.
 _find_whitespace = re.compile(r"\s").search
+
+_T = TypeVar("_T")
 
 
 class Label(Enum):
@@ -172,10 +174,14 @@ class Corpus:
     entries: downstream statistics are occurrence counts, not distinct-failure
     counts. Only labeled records may be stored, so every record's label always
     matches the bucket it sits in.
+
+    A corpus also holds values derived from its records (see :meth:`derived`);
+    they live as long as the corpus and are dropped by every :meth:`add`.
     """
 
     def __init__(self) -> None:
         self._projects: dict[str, dict[TestId, dict[Label, list[FailureRecord]]]] = {}
+        self._derived: dict[Hashable, object] = {}
 
     def add(self, record: FailureRecord) -> None:
         if record.label is None:
@@ -185,6 +191,23 @@ class Corpus:
         tests = self._projects.setdefault(record.test.project, {})
         buckets = tests.setdefault(record.test, {Label.FLAKY: [], Label.TRUE: []})
         buckets[record.label].append(record)
+        # A new dict rather than clear(): a build that began before this add
+        # stores its stale value into the old dict, which nothing reads.
+        self._derived = {}
+
+    def derived(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """``build()``'s value, computed once per ``key`` until the next add.
+
+        ``build`` must compute the value from this corpus's records alone.
+        Concurrent readers may each run ``build`` for the same key; as each
+        sees the same records, any of their values can be kept.
+        """
+        memo = self._derived
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = build()
+            return value
 
     def add_all(self, records: Iterable[FailureRecord]) -> None:
         for record in records:

@@ -241,6 +241,25 @@ def test_evaluate_cv_reports_and_files(synth_corpus, tmp_path, capsys):
     assert all(f["project"] == "proj00" for f in folds)
 
 
+@pytest.mark.parametrize("method", ["match", "tree"])
+def test_evaluate_refuses_projects_sharing_a_report_file(tmp_path, capsys, method):
+    failures = "".join(
+        f'<Failure><T project="{project}">a.T.m{i}</T><E>E</E><M/><S/></Failure>'
+        for project in ("a/b", "a_b")
+        for i in range(2)
+    )
+    (tmp_path / "corpus.xml").write_text(f"<Corpus>{failures}</Corpus>")
+    reports = tmp_path / "reports"
+    code, out, err = run(
+        capsys, "evaluate", "--corpus", tmp_path / "corpus.xml", "--method", method,
+        "--report-dir", reports,
+    )
+    assert code == EXIT_DATA
+    assert out == ""
+    assert "'a/b' and 'a_b'" in err and "a_b.txt" in err
+    assert not reports.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--k", "1"), ("--k", "0"), ("--k", "-1"), ("--jobs", "0"), ("--jobs", "-2")],

@@ -99,6 +99,42 @@ def test_parse_stops_at_caused_by():
     assert [f.method for f in rec.frames] == ["c"]
 
 
+def test_parse_stops_at_suppressed():
+    raw = (
+        "java.io.IOException: outer\n"
+        "\tat a.B.test(B.java:3)\n"
+        "\tSuppressed: java.lang.IllegalStateException: close failed\n"
+        "\t\tat x.Y.close(Y.java:9)\n"
+        "\t\t... 1 more\n"
+    )
+    rec = parse_failure_text(raw, TestId("p", "a.B", "test"))
+    assert [f.raw for f in rec.frames] == ["a.B.test(B.java:3)"]
+
+
+@pytest.mark.parametrize(
+    "header, exception_type, fqn, message",
+    [
+        ('Exception in thread "main" java.lang.RuntimeException: x',
+         "RuntimeException", "java.lang.RuntimeException", "x"),
+        ('Exception in thread "pool-1-thread-2: io" a.Boom',
+         "Boom", "a.Boom", ""),
+        ('Exception in thread "main" Boom: say "hi" there',
+         "Boom", "", 'say "hi" there'),
+    ],
+)
+def test_parse_accepts_the_thread_name_header(header, exception_type, fqn, message):
+    rec = parse_failure_text(header + "\n\tat a.B.c(B.java:7)\n", TestId("p", "A", "m"))
+    assert (rec.exception_type, rec.exception_fqn, rec.message) == (
+        exception_type, fqn, message,
+    )
+    assert [f.method for f in rec.frames] == ["c"]
+
+
+def test_parse_rejects_a_thread_name_header_without_exception():
+    with pytest.raises(MalformedLog):
+        parse_failure_text('Exception in thread "main"\n', TestId("p", "A", "m"))
+
+
 def test_parse_ignores_interleaved_noise_lines():
     raw = "E: boom\n at a.B.c(B.java:7)\n\t... 3 more\n at a.B.d(B.java:9)\n"
     rec = parse_failure_text(raw, TestId("p", "A", "m"))
@@ -368,3 +404,33 @@ def test_xml_round_trip_on_arbitrary_corpora(records, label_bit):
         label = Label.FLAKY if (i + label_bit) % 3 else Label.TRUE
         corpus.add(record(rec.test, rec.exception_type, f"m{i}", rec.frames, label))
     assert read_corpus_xml(write_corpus_xml(corpus)) == corpus
+
+
+def test_write_preserves_carriage_returns():
+    corpus = Corpus()
+    corpus.add(record(TestId("p", "a.T", "m"), message="a\r\nb\rc\n", label=Label.TRUE))
+    data = write_corpus_xml(corpus)
+    assert b"\r" not in data
+    (rec,) = list(read_corpus_xml(data).records())
+    assert rec.message == "a\r\nb\rc\n"
+
+
+@pytest.mark.parametrize("text", ["\x1b[31mred\x1b[0m", "nul\x00", "\ud800", "\ufffe"])
+def test_write_rejects_characters_xml_cannot_carry(text):
+    corpus = Corpus()
+    corpus.add(record(TestId("p", "a.T", "m"), message=text, label=Label.FLAKY))
+    with pytest.raises(SchemaError, match="XML 1.0 cannot carry"):
+        write_corpus_xml(corpus)
+
+
+@given(st.text())
+@settings(max_examples=300)
+def test_xml_round_trip_on_arbitrary_messages(message):
+    corpus = Corpus()
+    corpus.add(record(TestId("p", "a.T", "m"), message=message, label=Label.FLAKY))
+    try:
+        data = write_corpus_xml(corpus)
+    except SchemaError:
+        assert re.search("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]", message)
+        return
+    assert read_corpus_xml(data) == corpus

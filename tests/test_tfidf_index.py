@@ -1,0 +1,336 @@
+"""The per-project TF-IDF index against the per-query code it replaced.
+
+``oracle_classify_nn`` is the earlier ``classify_nn`` body, kept verbatim: it
+re-tokenizes the project's history, recounts document frequencies and
+rebuilds every history vector for each query. The indexed ``classify_nn``
+must give the same verdict, basis and evidence, and raise the same errors.
+"""
+from __future__ import annotations
+
+import dataclasses
+import random
+import sys
+import threading
+
+import pytest
+
+from conftest import frame, random_corpus, record
+from flaketriage.errors import EmptyDocument, EmptyHistory, FlakeTriageError
+from flaketriage.evaluation import cross_validate_project, tfidf_trainer
+from flaketriage.matching import TriageBasis, TriageVerdict
+from flaketriage.model import Corpus, FailureRecord, Label, TestId
+from flaketriage.tfidf import (
+    TfidfIndex,
+    _document_frequencies,
+    _weights,
+    classify_nn,
+    cosine,
+    tokenize,
+)
+
+# --- oracle ------------------------------------------------------------------
+
+
+def oracle_classify_nn(
+    query: FailureRecord, history: Corpus, log_base: float | None = None
+) -> TriageVerdict:
+    project = query.test.project
+    entries = list(history.identified_records(project))
+    if not entries:
+        raise EmptyHistory(f"no labeled failures for project {project!r}")
+
+    docs = [tokenize(record, record_id) for record_id, record in entries]
+    query_doc = tokenize(query, "query")
+    corpus_docs = docs + [query_doc]
+    frequencies = _document_frequencies(corpus_docs)
+    size = len(corpus_docs)
+
+    query_vector = _weights(query_doc, frequencies, size, log_base)
+    if all(weight == 0.0 for weight in query_vector.values()):
+        return TriageVerdict(Label.TRUE, TriageBasis.MATCHED_NONE)
+
+    similarities: list[tuple[float, str, Label]] = []
+    for (record_id, record), doc in zip(entries, docs):
+        vector = _weights(doc, frequencies, size, log_base)
+        similarities.append(
+            (cosine(query_vector, vector), record_id, record.label)
+        )
+    best = max(score for score, _, _ in similarities)
+    if best == 0.0:
+        return TriageVerdict(Label.TRUE, TriageBasis.MATCHED_NONE)
+
+    top_labels = {label for score, _, label in similarities if score == best}
+    evidence = tuple(
+        sorted(record_id for score, record_id, _ in similarities if score == best)
+    )
+    if top_labels == {Label.FLAKY}:
+        return TriageVerdict(
+            Label.FLAKY, TriageBasis.MATCHED_FLAKY_ONLY, evidence
+        )
+    basis = (
+        TriageBasis.MATCHED_BOTH
+        if len(top_labels) == 2
+        else TriageBasis.MATCHED_TRUE
+    )
+    return TriageVerdict(Label.TRUE, basis, evidence)
+
+
+def outcome(classify, query, history, log_base=None):
+    """The verdict, or the type and text of the error raised instead."""
+    try:
+        return classify(query, history, log_base)
+    except FlakeTriageError as exc:
+        return type(exc), str(exc)
+
+
+def assert_agrees(query, history, log_base=None):
+    want = outcome(oracle_classify_nn, query, history, log_base)
+    assert outcome(classify_nn, query, history, log_base) == want
+    return want
+
+
+def queries_for(corpus: Corpus, rng: random.Random) -> list[FailureRecord]:
+    """History records as queries, plus variants that tie, overlap or miss."""
+    records = list(corpus.records())
+    queries = []
+    for base in rng.sample(records, min(6, len(records))):
+        base = dataclasses.replace(base, label=None)
+        queries.append(base)
+        queries.append(dataclasses.replace(base, frames=base.frames[1:]))
+        queries.append(dataclasses.replace(base, exception_type="Unseen"))
+        other = rng.choice(records)
+        if other.test.project == base.test.project:
+            queries.append(dataclasses.replace(base, frames=base.frames + other.frames))
+    return queries
+
+
+# --- seeded corpora ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_index_matches_oracle_on_seeded_corpora(seed):
+    corpus = random_corpus(seed, max_records=120)
+    bases = set()
+    for query in queries_for(corpus, random.Random(seed)):
+        verdict = assert_agrees(query, corpus)
+        bases.add(verdict.basis)
+    assert bases - {TriageBasis.MATCHED_NONE}
+
+
+@pytest.mark.parametrize("log_base", [2, 10])
+@pytest.mark.parametrize("seed", range(0, 100, 4))
+def test_index_matches_oracle_under_log_bases(seed, log_base):
+    corpus = random_corpus(seed, max_records=120)
+    for query in queries_for(corpus, random.Random(seed)):
+        assert_agrees(query, corpus, log_base)
+    # One history serves every base, each from its own index.
+    assert_agrees(query, corpus)
+
+
+@pytest.mark.parametrize("seed", range(0, 100, 5))
+def test_index_matches_oracle_on_permuted_history(seed):
+    corpus = random_corpus(seed, max_records=120)
+    records = list(corpus.records())
+    random.Random(seed).shuffle(records)
+    permuted = Corpus()
+    permuted.add_all(records)
+    for query in queries_for(corpus, random.Random(seed)):
+        assert_agrees(query, permuted)
+
+
+# --- edge cases --------------------------------------------------------------
+
+TEST = TestId("p", "a.T", "m")
+SHARED = (frame("a.Lib", "call", "Lib.java", 3), frame("a.T", "m", "T.java", 7))
+
+
+def _history(*entries: tuple[str, tuple, Label, str]) -> Corpus:
+    corpus = Corpus()
+    for exception, frames, label, method in entries:
+        corpus.add(record(TestId("p", "a.T", method), exception, frames=frames, label=label))
+    return corpus
+
+
+def test_identical_documents_tied_across_labels_give_every_member():
+    history = _history(
+        ("E", SHARED, Label.FLAKY, "m2"),
+        ("E", SHARED, Label.FLAKY, "m2"),
+        ("E", SHARED, Label.TRUE, "m3"),
+        ("Z", (frame("z.Z", "zz", "Z.java", 1),), Label.TRUE, "m4"),
+    )
+    verdict = assert_agrees(record(TEST, "E", frames=SHARED), history)
+    assert verdict == TriageVerdict(
+        Label.TRUE,
+        TriageBasis.MATCHED_BOTH,
+        ("p/a.T.m2/flaky[0]", "p/a.T.m2/flaky[1]", "p/a.T.m3/true[0]"),
+    )
+
+
+def test_near_tie_follows_the_sorted_term_summation_order():
+    # Both candidates' squared weights are one multiset in two term orders;
+    # summed in sorted-term order, the flaky record's norm is smaller in the
+    # last bit, so it wins alone rather than tying with the true one.
+    history = Corpus()
+    for method, tokens, label in (
+        ("m1", "a.b.b.b.b.c.c.x", Label.FLAKY),
+        ("m2", "a.b.b.b.b.d.e.e", Label.TRUE),
+        ("m3", "x.x.x.x.d.d.d", Label.TRUE),
+    ):
+        history.add(record(TestId("p", "a.T", method), tokens, label=label))
+    verdict = assert_agrees(record(TEST, "a.b"), history)
+    assert verdict == TriageVerdict(
+        Label.FLAKY, TriageBasis.MATCHED_FLAKY_ONLY, ("p/a.T.m1/flaky[0]",)
+    )
+
+
+def test_term_in_every_record_weighs_nothing_in_any_document():
+    # With the query, "u" is in every document: its weight is 0 in every
+    # vector, so the flaky record matches the query's direction exactly.
+    history = Corpus()
+    for method, tokens, label in (
+        ("m1", "u.u.u.a", Label.FLAKY),
+        ("m2", "u.u.a.a.a.a.d", Label.TRUE),
+        ("m3", "u.z", Label.TRUE),
+    ):
+        history.add(record(TestId("p", "a.T", method), tokens, label=label))
+    verdict = assert_agrees(record(TEST, "u.u.u.a.a.a.a"), history)
+    assert verdict == TriageVerdict(
+        Label.FLAKY, TriageBasis.MATCHED_FLAKY_ONLY, ("p/a.T.m1/flaky[0]",)
+    )
+
+
+def test_query_of_ubiquitous_terms_only():
+    history = _history(
+        ("E", SHARED, Label.FLAKY, "m2"),
+        ("E", SHARED + (frame("b.X", "x", "X.java", 5),), Label.TRUE, "m3"),
+    )
+    verdict = assert_agrees(record(TEST, "E", frames=SHARED), history)
+    assert verdict.basis is TriageBasis.MATCHED_NONE
+
+
+def test_query_of_query_only_terms():
+    history = _history(("E", SHARED, Label.FLAKY, "m2"), ("F", SHARED, Label.TRUE, "m3"))
+    query = record(TEST, "Unseen", frames=(frame("q.Q", "q", "Q.py", 1),))
+    assert assert_agrees(query, history).basis is TriageBasis.MATCHED_NONE
+
+
+@pytest.mark.parametrize(
+    "history_entries, query_exception",
+    [
+        ((("E", SHARED, Label.FLAKY, "m2"), ("$", (), Label.TRUE, "m3")), "E"),
+        ((("$", (), Label.FLAKY, "m2"), ("$", (), Label.TRUE, "m3")), "E"),
+        ((("E", SHARED, Label.FLAKY, "m2"),), "$"),
+        ((("$", (), Label.TRUE, "m3"),), "()"),
+    ],
+    ids=["one-empty-record", "all-empty-records", "empty-query", "both-empty"],
+)
+def test_documents_without_tokens_raise_as_before(history_entries, query_exception):
+    history = _history(*history_entries)
+    frames = SHARED if query_exception == "E" else ()
+    got = assert_agrees(record(TEST, query_exception, frames=frames), history)
+    assert got[0] is EmptyDocument
+
+
+def test_project_without_history_raises_as_before():
+    history = _history(("E", SHARED, Label.FLAKY, "m2"))
+    stranger = record(TestId("q", "a.T", "m"), "E", frames=SHARED)
+    assert assert_agrees(stranger, history)[0] is EmptyHistory
+    assert assert_agrees(stranger, Corpus())[0] is EmptyHistory
+
+
+def test_records_added_after_a_query_are_seen_by_the_next():
+    history = _history(
+        ("E", SHARED, Label.TRUE, "m3"),
+        ("Z", (frame("z.Z", "zz", "Z.java", 1),), Label.FLAKY, "m4"),
+    )
+    query = record(TEST, "E", frames=SHARED)
+    assert assert_agrees(query, history).basis is TriageBasis.MATCHED_TRUE
+    history.add(record(TestId("p", "a.T", "m2"), "E", frames=SHARED, label=Label.FLAKY))
+    assert assert_agrees(query, history).basis is TriageBasis.MATCHED_BOTH
+    stranger = record(TestId("q", "a.T", "m"), "E", frames=SHARED)
+    assert outcome(classify_nn, stranger, history)[0] is EmptyHistory
+    history.add(dataclasses.replace(stranger, label=Label.FLAKY))
+    # Its one history record holds every query term: no term has any weight.
+    assert assert_agrees(stranger, history).basis is TriageBasis.MATCHED_NONE
+
+
+def test_one_index_per_history_and_log_base(monkeypatch):
+    builds = []
+    build = TfidfIndex.__init__
+
+    def counted(self, history, project, log_base=None):
+        builds.append((project, log_base))
+        build(self, history, project, log_base)
+
+    monkeypatch.setattr(TfidfIndex, "__init__", counted)
+    corpus = random_corpus(7, max_records=120)
+    queries = queries_for(corpus, random.Random(7))
+    for log_base in (None, 2, None, 2):
+        for query in queries:
+            classify_nn(query, corpus, log_base)
+    projects = {query.test.project for query in queries}
+    assert sorted(builds, key=str) == sorted(
+        ((p, b) for p in projects for b in (None, 2)), key=str
+    )
+
+
+def test_threads_sharing_one_history_agree():
+    corpus = random_corpus(11, max_records=250)
+    queries = queries_for(corpus, random.Random(11)) * 3
+    expected = [oracle_classify_nn(q, corpus) for q in queries]
+    shared = Corpus()  # fresh, so the threads race to build the index
+    shared.add_all(corpus.records())
+    results: dict[int, list] = {}
+
+    def work(slot: int) -> None:
+        results[slot] = [classify_nn(q, shared) for q in queries]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {i: expected for i in range(4)}
+
+
+# --- cross-validation --------------------------------------------------------
+
+
+def oracle_tfidf_trainer():
+    def train(records):
+        history = Corpus()
+        history.add_all(records)
+        return lambda record: oracle_classify_nn(record, history).predicted
+
+    return train
+
+
+@pytest.mark.parametrize("seed", range(0, 50, 5))
+def test_tfidf_cv_matches_the_oracle_trainer(seed, monkeypatch):
+    builds = []
+    build = TfidfIndex.__init__
+
+    def counted(self, *args):
+        builds.append(args[1])
+        build(self, *args)
+
+    monkeypatch.setattr(TfidfIndex, "__init__", counted)
+    corpus = random_corpus(seed, max_records=150)
+    compared = 0
+    for project in corpus.project_names():
+        flaky = list(corpus.records(project, Label.FLAKY))
+        true = list(corpus.records(project, Label.TRUE))
+        if min(len(flaky), len(true)) < 3:
+            continue
+        builds.clear()
+        got = cross_validate_project(flaky, true, 3, tfidf_trainer(), seed)
+        assert got == cross_validate_project(flaky, true, 3, oracle_tfidf_trainer(), seed)
+        assert builds == [project] * 3  # one index per fold
+        compared += 1
+    assert compared
