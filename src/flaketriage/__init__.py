@@ -57,7 +57,6 @@ from .ingest import (
     write_corpus_xml,
 )
 from .matching import (
-    CorpusIndex,
     FailureSignature,
     MatchMode,
     MatchScope,
@@ -66,6 +65,7 @@ from .matching import (
     TriageBasis,
     TriageVerdict,
     matches,
+    project_index,
     repetitiveness,
     signature,
     triage,

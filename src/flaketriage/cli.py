@@ -20,14 +20,13 @@ from .ingest import (
     write_corpus_xml,
 )
 from .matching import (
-    CorpusIndex,
     MatchMode,
     MatchScope,
     repetitiveness,
     signature,
     triage,
 )
-from .model import Corpus, Label, TestId
+from .model import Corpus, FailureRecord, Label, TestId
 from .synth import GeneratorConfig, generate
 from .tfidf import classify_nn
 
@@ -126,12 +125,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _split_test_name(name: str) -> tuple[str, str]:
-    if "." not in name:
+    class_fqn, _, method = name.rpartition(".")
+    if not class_fqn or not method:
         raise FlakeTriageError(
             f"test name must be class.method, got {name!r}"
         )
-    class_fqn, method = name.rsplit(".", 1)
     return class_fqn, method
+
+
+def _parse_failure(path: str, test: TestId) -> FailureRecord:
+    """Parse a failure log, warning on stderr about each malformed frame."""
+    diagnostics: list[str] = []
+    record = parse_failure_file(path, test, diagnostics)
+    for note in diagnostics:
+        print(f"warning: {note}", file=sys.stderr)
+    return record
 
 
 def _load_corpus(path: str) -> Corpus:
@@ -141,9 +149,10 @@ def _load_corpus(path: str) -> Corpus:
 
 def _cmd_parse(args) -> int:
     class_fqn, method = _split_test_name(args.test)
+    if not args.project:
+        raise FlakeTriageError("project must be non-empty")
     test = TestId(args.project, class_fqn, method)
-    diagnostics: list[str] = []
-    record = parse_failure_file(args.infile, test, diagnostics)
+    record = _parse_failure(args.infile, test)
     nf = normalize(record)
     sig = signature(nf)
 
@@ -166,8 +175,6 @@ def _cmd_parse(args) -> int:
     print(f"  {sig.exception_type}")
     for key in sig.frame_keys:
         print(f"  {key}")
-    for note in diagnostics:
-        print(f"warning: {note}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -200,7 +207,7 @@ def _cmd_classify(args) -> int:
     class_fqn, method = _split_test_name(args.test)
     project = _infer_project(corpus, args.test)
     test = TestId(project, class_fqn, method)
-    record = parse_failure_file(args.failure, test)
+    record = _parse_failure(args.failure, test)
 
     evidence: tuple[str, ...] = ()
     if args.method == "match":
@@ -242,16 +249,15 @@ def _project_counts(corpus: Corpus, project: str) -> tuple[int, int, int]:
     return tests, flaky, true
 
 
-def _evaluate_match_project(index, project, mode, scope):
-    score = evaluation.score_project(index, project, mode, scope)
-    tests, flaky, true = _project_counts(index.corpus, project)
-    set_flaky, set_true = evaluation.distinct_signature_counts(index, project)
+def _evaluate_match_project(corpus, project, mode, scope):
+    score = evaluation.score_project(corpus, project, mode, scope)
+    tests, flaky, true = _project_counts(corpus, project)
+    set_flaky, set_true = evaluation.distinct_signature_counts(corpus, project)
     return project, (score, tests, true, flaky, set_true, set_flaky)
 
 
 def _cmd_evaluate(args) -> int:
     corpus = _load_corpus(args.corpus)
-    index = CorpusIndex(corpus)
     mode = _MODES[args.mode]
     scope = _SCOPES[args.scope]
     projects = corpus.project_names()
@@ -263,7 +269,7 @@ def _cmd_evaluate(args) -> int:
     sections: list[str] = []
     if args.method == "match":
         def run(project):
-            return _evaluate_match_project(index, project, mode, scope)
+            return _evaluate_match_project(corpus, project, mode, scope)
 
         results = dict(_map_projects(run, projects, args.jobs))
         sections.append(f"== text matching (mode={mode}, scope={scope}) ==")
@@ -333,7 +339,7 @@ def _cmd_evaluate(args) -> int:
         sections.append(f"== {title} ==")
         sections.append(
             evaluation.render_exceptions_table(
-                evaluation.exception_frequency(index, table_mode)
+                evaluation.exception_frequency(corpus, table_mode)
             )
         )
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,13 +26,12 @@ from .classifier import (
 from .errors import InsufficientFlaky, InsufficientTrue
 from .ingest import normalize
 from .matching import (
-    CorpusIndex,
-    Indexable,
     MatchMode,
     MatchScope,
     ProjectIndex,
     ProjectRepetitiveness,
     RepetitivenessReport,
+    project_index,
 )
 from .model import Corpus, FailureRecord, KnownTests, Label, TestId
 from .tfidf import classify_nn
@@ -123,30 +122,26 @@ def _record_outcomes(
     scored against all other records in scope with the record itself
     excluded.
     """
-    group_of: defaultdict[object, Counter[Label]] = defaultdict(Counter)
-    groups = [group_of[key] for key in index.keys(mode, scope)]
-    for record, group in zip(index.records, groups):
-        group[record.label] += 1
-    outcomes = []
-    for record, group in zip(index.records, groups):
-        if record.label is Label.FLAKY:
-            other_flaky = group[Label.FLAKY] - 1
-            outcomes.append(
-                "tp" if other_flaky >= 1 and group[Label.TRUE] == 0 else "fn"
-            )
-        else:
-            outcomes.append("fp" if group[Label.FLAKY] >= 1 else "tn")
+    outcomes = [""] * len(index.records)
+    groups = index.groups(mode, scope).values()
+    for positions, flaky in zip(groups, index.flaky_counts(mode, scope)):
+        true = len(positions) - flaky
+        for i in positions:
+            if index.records[i].label is Label.FLAKY:
+                outcomes[i] = "tp" if flaky > 1 and not true else "fn"
+            else:
+                outcomes[i] = "fp" if flaky else "tn"
     return outcomes
 
 
 def score_project(
-    corpus: Indexable,
+    corpus: Corpus,
     project: str,
     mode: MatchMode = MatchMode.FULL,
     scope: MatchScope = MatchScope.PER_TEST,
 ) -> ScoreResult:
     """Score every labeled failure of one project against the rest of its scope."""
-    index = CorpusIndex.of(corpus).project(project)
+    index = project_index(corpus, project)
     counts = Counter()
     per_test: dict[TestId, list[bool]] = {}
     for record, outcome in zip(index.records, _record_outcomes(index, mode, scope)):
@@ -163,28 +158,26 @@ def score_project(
 
 
 def score_matching(
-    corpus: Indexable,
+    corpus: Corpus,
     mode: MatchMode = MatchMode.FULL,
     scope: MatchScope = MatchScope.PER_TEST,
 ) -> ScoreResult:
     """Score every labeled failure against the rest of its scope."""
-    index = CorpusIndex.of(corpus)
     matrix = ConfusionMatrix()
     per_test: dict[TestId, tuple[bool, bool]] = {}
-    for project in index.project_names():
-        result = score_project(index, project, mode, scope)
+    for project in corpus.project_names():
+        result = score_project(corpus, project, mode, scope)
         matrix = matrix + result.matrix
         per_test.update(result.per_test)
     return ScoreResult(matrix, per_test)
 
 
-def distinct_signature_counts(corpus: Indexable, project: str) -> tuple[int, int]:
+def distinct_signature_counts(corpus: Corpus, project: str) -> tuple[int, int]:
     """Distinct per-test full signatures in the flaky and true buckets."""
-    index = CorpusIndex.of(corpus).project(project)
-    keys = index.keys(MatchMode.FULL, MatchScope.PER_TEST)
-    flaky = {k for r, k in zip(index.records, keys) if r.label is Label.FLAKY}
-    true = {k for r, k in zip(index.records, keys) if r.label is Label.TRUE}
-    return len(flaky), len(true)
+    index = project_index(corpus, project)
+    groups = index.groups(MatchMode.FULL, MatchScope.PER_TEST).values()
+    flaky = index.flaky_counts(MatchMode.FULL, MatchScope.PER_TEST)
+    return sum(map(bool, flaky)), sum(n < len(g) for n, g in zip(flaky, groups))
 
 
 # --- exception frequency table ----------------------------------------------
@@ -204,21 +197,20 @@ class ExceptionRow:
     tn: int
 
 
-def exception_frequency(corpus: Indexable, mode: MatchMode) -> list[ExceptionRow]:
+def exception_frequency(corpus: Corpus, mode: MatchMode) -> list[ExceptionRow]:
     """Per-exception aggregation of per-test matching outcomes.
 
     Rows are sorted by total failure count descending (exception name breaks
     ties). Run once with FULL and once with EXCEPTION_ONLY mode to see how
     much the stack frames contribute beyond the exception type.
     """
-    index = CorpusIndex.of(corpus)
     projects: dict[str, set[str]] = {}
     tests: dict[str, set[TestId]] = {}
     counters: dict[str, Counter[str]] = {}
-    for project in index.project_names():
-        pindex = index.project(project)
-        outcomes = _record_outcomes(pindex, mode, MatchScope.PER_TEST)
-        for record, outcome in zip(pindex.records, outcomes):
+    for project in corpus.project_names():
+        index = project_index(corpus, project)
+        outcomes = _record_outcomes(index, mode, MatchScope.PER_TEST)
+        for record, outcome in zip(index.records, outcomes):
             exception_type = record.exception_type
             projects.setdefault(exception_type, set()).add(project)
             tests.setdefault(exception_type, set()).add(record.test)
@@ -381,13 +373,15 @@ def match_trainer(
 
     def train(records: Sequence[FailureRecord]) -> Predictor:
         index = ProjectIndex(records)
-        labels_by_key: dict[object, set[Label]] = {}
-        for record, key in zip(index.records, index.keys(mode, scope)):
-            labels_by_key.setdefault(key, set()).add(record.label)
+        flaky_only = {
+            key
+            for key, positions in index.groups(mode, scope).items()
+            if all(index.records[i].label is Label.FLAKY for i in positions)
+        }
 
         def predictor(record: FailureRecord) -> Label:
-            labels = labels_by_key.get(index.key(normalize(record), mode, scope), set())
-            return Label.FLAKY if labels == {Label.FLAKY} else Label.TRUE
+            key = index.key(normalize(record), mode, scope)
+            return Label.FLAKY if key in flaky_only else Label.TRUE
 
         return predictor
 

@@ -125,13 +125,13 @@ def parse_failure_text(
 
     head, sep, rest = header.partition(":")
     token = head.strip()
-    if not token or any(ch.isspace() for ch in token):
+    exception_type = token.rsplit(".", 1)[-1]
+    if not exception_type or any(ch.isspace() for ch in token):
         raise MalformedLog(f"cannot identify an exception header in {header!r}")
     message = ""
     if sep:
         message = rest[1:] if rest.startswith(" ") else rest
     exception_fqn = token if "." in token else ""
-    exception_type = token.rsplit(".", 1)[-1]
 
     frames: list[StackFrame] = []
     for line in lines[start:]:

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import ModeMismatch
 from .ingest import NormalizedFailure, normalize
@@ -145,29 +145,37 @@ def triage(
     """Compare a new failure against a labeled history and predict its label.
 
     PER_TEST scope compares only against history records of the same test;
-    CROSS_TEST compares against all records of the same project. An empty
-    relevant history yields MATCHED_NONE (predicted true), not an error.
-    Evidence lists the matching flaky records, then the matching true ones,
-    each in history order.
+    CROSS_TEST compares against all records of the same project, through the
+    project's :func:`project_index`. An empty relevant history yields
+    MATCHED_NONE (predicted true), not an error. Evidence lists the matching
+    flaky records, then the matching true ones, each in history order.
     """
     test = nf.base.test
+    hits: dict[Label, list[str]] = {Label.FLAKY: [], Label.TRUE: []}
     if scope is MatchScope.PER_TEST:
-        candidate_tests = [test]
-        known: KnownTests | frozenset[TestId] = frozenset()
-    else:
-        candidate_tests = history.tests(test.project)
-        known = KnownTests([*candidate_tests, test])
-    target = signature(nf, mode, scope, known)
+        target = signature(nf, mode, scope)
+        for label, ids in hits.items():
+            for i, record in enumerate(history.bucket(test, label)):
+                if matches(target, signature(normalize(record), mode, scope)):
+                    ids.append(record_id(test, label, i))
+    elif test.project in history.project_names():  # no index for a stranger project
+        index = project_index(history, test.project)
+        if test in index.known.tests:
+            positions = index.groups(mode, scope).get(index.key(nf, mode, scope), ())
+        else:
+            # The query's own test is a known test too; key the project's
+            # failures against the widened set, without keeping the keys.
+            known = KnownTests([*index.known.tests, test])
+            target = signature(nf, mode, scope, known)
+            positions = [
+                i
+                for i, other in enumerate(index.normalized)
+                if matches(target, signature(other, mode, scope, known))
+            ]
+        for i in positions:
+            hits[index.records[i].label].append(index.ids[i])
 
-    flaky_hits: list[str] = []
-    true_hits: list[str] = []
-    for candidate_test in candidate_tests:
-        for label, hits in ((Label.FLAKY, flaky_hits), (Label.TRUE, true_hits)):
-            for i, record in enumerate(history.bucket(candidate_test, label)):
-                candidate = signature(normalize(record), mode, scope, known)
-                if matches(target, candidate):
-                    hits.append(record_id(candidate_test, label, i))
-
+    flaky_hits, true_hits = hits[Label.FLAKY], hits[Label.TRUE]
     if flaky_hits and true_hits:
         basis = TriageBasis.MATCHED_BOTH
     elif flaky_hits:
@@ -189,20 +197,31 @@ class ProjectIndex:
     """A set of failure records with the facts derived from them, each once.
 
     Holds every record's normalized failure and the records' tests as the
-    known tests, and builds each record's match key per mode and scope on
-    first use: ``(test, signature)`` under PER_TEST, the signature alone
-    under CROSS_TEST, where the known tests' frames are dropped.
+    known tests, and groups the records by match key per mode and scope on
+    first use. A record's key is ``(test, signature)`` under PER_TEST and the
+    signature alone under CROSS_TEST, where the known tests' frames are
+    dropped.
     """
 
     def __init__(self, records: Iterable[FailureRecord]) -> None:
         self.records = tuple(records)
         self.normalized = tuple(normalize(r) for r in self.records)
-        self._keys: dict[tuple[MatchMode, MatchScope], tuple[object, ...]] = {}
+        self._groups: dict[tuple[MatchMode, MatchScope], dict[object, list[int]]] = {}
 
     @cached_property
     def known(self) -> KnownTests:
         """The records' tests; only the CROSS_TEST keys need them."""
         return KnownTests(r.test for r in self.records)
+
+    @cached_property
+    def ids(self) -> tuple[str, ...]:
+        """Each record's :func:`record_id`, counting positions in record order."""
+        seen: Counter[tuple[TestId, Label]] = Counter()
+        ids = []
+        for r in self.records:
+            ids.append(record_id(r.test, r.label, seen[r.test, r.label]))
+            seen[r.test, r.label] += 1
+        return tuple(ids)
 
     def key(self, nf: NormalizedFailure, mode: MatchMode, scope: MatchScope) -> object:
         """Match key of any normalized failure against these known tests."""
@@ -210,46 +229,39 @@ class ProjectIndex:
             return (nf.base.test, signature(nf, mode, scope))
         return signature(nf, mode, scope, self.known)
 
-    def keys(self, mode: MatchMode, scope: MatchScope) -> tuple[object, ...]:
+    def keys(self, mode: MatchMode, scope: MatchScope) -> list[object]:
         """Match key of every record, in record order."""
-        keys = self._keys.get((mode, scope))
-        if keys is None:
-            keys = tuple(self.key(nf, mode, scope) for nf in self.normalized)
-            self._keys[(mode, scope)] = keys
-        return keys
+        return [self.key(nf, mode, scope) for nf in self.normalized]
+
+    def groups(self, mode: MatchMode, scope: MatchScope) -> dict[object, list[int]]:
+        """Positions of the records sharing each match key, in record order."""
+        groups = self._groups.get((mode, scope))
+        if groups is None:
+            groups = {}
+            for i, key in enumerate(self.keys(mode, scope)):
+                groups.setdefault(key, []).append(i)
+            self._groups[(mode, scope)] = groups
+        return groups
+
+    def flaky_counts(self, mode: MatchMode, scope: MatchScope) -> list[int]:
+        """Flaky records per group of :meth:`groups`, in its order."""
+        records = self.records
+        return [
+            sum(records[i].label is Label.FLAKY for i in positions)
+            for positions in self.groups(mode, scope).values()
+        ]
 
 
-class CorpusIndex:
-    """One :class:`ProjectIndex` per project of a corpus, each built on first use.
+def project_index(corpus: Corpus, project: str) -> ProjectIndex:
+    """The :class:`ProjectIndex` of one project's records, kept on ``corpus``.
 
-    A project's index holds its records in :meth:`Corpus.records` order
-    (tests sorted, flaky bucket first), so it knows all of the project's tests.
-    Share one CorpusIndex between reports on the same corpus so that each
-    failure is normalized and keyed once; the corpus must not change while
-    the index is in use.
+    The index holds the records in :meth:`Corpus.records` order (tests
+    sorted, flaky bucket first), so it knows all of the project's tests. It
+    is built on first use and kept until a record is added to ``corpus``.
     """
-
-    def __init__(self, corpus: Corpus) -> None:
-        self.corpus = corpus
-        self._projects: dict[str, ProjectIndex] = {}
-
-    @staticmethod
-    def of(corpus: Indexable) -> CorpusIndex:
-        """``corpus`` itself if it is already an index, else a new index of it."""
-        return corpus if isinstance(corpus, CorpusIndex) else CorpusIndex(corpus)
-
-    def project_names(self) -> list[str]:
-        return self.corpus.project_names()
-
-    def project(self, name: str) -> ProjectIndex:
-        index = self._projects.get(name)
-        if index is None:
-            index = ProjectIndex(self.corpus.records(name))
-            self._projects[name] = index
-        return index
-
-
-Indexable = Union[Corpus, CorpusIndex]
+    return corpus.derived(
+        (ProjectIndex, project), lambda: ProjectIndex(corpus.records(project))
+    )
 
 
 @dataclass(frozen=True)
@@ -288,34 +300,25 @@ class RepetitivenessReport:
         )
 
 
-def repetitiveness(corpus: Indexable) -> RepetitivenessReport:
+def repetitiveness(corpus: Corpus) -> RepetitivenessReport:
     """How often each project's flaky failures recur, per test and across tests."""
-    index = CorpusIndex.of(corpus)
     per_project: dict[str, ProjectRepetitiveness] = {}
-    for project in index.project_names():
-        pindex = index.project(project)
-        flaky = [
-            (record.test, per_test_key, cross_key)
-            for record, per_test_key, cross_key in zip(
-                pindex.records,
-                pindex.keys(MatchMode.FULL, MatchScope.PER_TEST),
-                pindex.keys(MatchMode.FULL, MatchScope.CROSS_TEST),
-            )
-            if record.label is Label.FLAKY
-        ]
-        if not flaky:
+    for project in corpus.project_names():
+        index = project_index(corpus, project)
+        flaky_tests = [r.test for r in index.records if r.label is Label.FLAKY]
+        if not flaky_tests:
             continue
-        per_test_groups = Counter(pt for _, pt, _ in flaky)
-        cross_groups = Counter(ck for _, _, ck in flaky)
-        uniq_per_test = sum(1 for _, pt, _ in flaky if per_test_groups[pt] == 1)
-        uniq_cross = sum(1 for _, _, ck in flaky if cross_groups[ck] == 1)
+        per_test, cross = (
+            [n for n in index.flaky_counts(MatchMode.FULL, scope) if n]
+            for scope in (MatchScope.PER_TEST, MatchScope.CROSS_TEST)
+        )
         per_project[project] = ProjectRepetitiveness(
-            tests=len({test for test, _, _ in flaky}),
-            flaky=len(flaky),
-            distinct=len(per_test_groups),
-            uniq_per_test=uniq_per_test,
-            repet_per_test=len(flaky) - uniq_per_test,
-            uniq_cross=uniq_cross,
-            repet_cross=len(flaky) - uniq_cross,
+            tests=len(set(flaky_tests)),
+            flaky=len(flaky_tests),
+            distinct=len(per_test),
+            uniq_per_test=per_test.count(1),
+            repet_per_test=len(flaky_tests) - per_test.count(1),
+            uniq_cross=cross.count(1),
+            repet_cross=len(flaky_tests) - cross.count(1),
         )
     return RepetitivenessReport(per_project)

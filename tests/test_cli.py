@@ -173,6 +173,50 @@ def test_bad_test_name_is_usage_style_data_error(workdir, capsys):
     assert "class.method" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("parse", "--in", "failure.log", "--project", "alluxio", "--test", "a."),
+        ("parse", "--in", "failure.log", "--project", "alluxio", "--test", ".m"),
+        ("classify", "--corpus", "corpus.xml", "--failure", "failure.log",
+         "--method", "match", "--test", "tachyon.JournalTest."),
+        ("classify", "--corpus", "corpus.xml", "--failure", "failure.log",
+         "--method", "match", "--test", ".TableTest"),
+    ],
+)
+def test_empty_class_or_method_is_a_data_error(workdir, capsys, command):
+    code, out, err = run(
+        capsys, *(workdir / a if a.endswith((".log", ".xml")) else a for a in command)
+    )
+    assert code == EXIT_DATA
+    assert out == ""
+    assert "class.method" in err and "Traceback" not in err
+
+
+def test_empty_project_is_a_data_error(workdir, capsys):
+    code, out, err = run(
+        capsys, "parse", "--in", workdir / "failure.log",
+        "--test", "tachyon.JournalTest.TableTest", "--project", "",
+    )
+    assert code == EXIT_DATA
+    assert out == ""
+    assert "error: project must be non-empty" in err
+
+
+def test_classify_warns_about_malformed_frames(workdir, capsys):
+    log = (workdir / "failure.log").read_text()
+    header, rest = log.split("\n", 1)
+    (workdir / "noisy.log").write_text(f"{header}\n\tat nonsense here\n{rest}")
+    args = ("classify", "--corpus", workdir / "corpus.xml",
+            "--test", "tachyon.JournalTest.TableTest", "--method", "match")
+    clean = run(capsys, *args, "--failure", workdir / "failure.log")
+    noisy = run(capsys, *args, "--failure", workdir / "noisy.log")
+    assert clean[0] == noisy[0] == EXIT_OK
+    assert noisy[1] == clean[1]
+    assert clean[2] == ""
+    assert noisy[2].startswith("warning: ") and "nonsense here" in noisy[2]
+
+
 def test_generate_writes_corpus_and_round_trips(workdir, capsys):
     out_path = workdir / "synth.xml"
     code, out, _ = run(
@@ -308,10 +352,13 @@ def test_evaluate_deterministic_output(synth_corpus, capsys):
 
 
 def test_evaluate_parallel_output_matches_serial(synth_corpus, capsys):
-    base = ("evaluate", "--corpus", synth_corpus, "--method", "match")
-    _, serial, _ = run(capsys, *base)
-    _, parallel, _ = run(capsys, *base, "--jobs", "3")
-    assert serial == parallel
+    for scope in ("per-test", "cross-test"):
+        base = ("evaluate", "--corpus", synth_corpus, "--method", "match",
+                "--scope", scope)
+        code, serial, _ = run(capsys, *base)
+        assert code == EXIT_OK and f"scope={scope.replace('-', '_')}" in serial
+        _, parallel, _ = run(capsys, *base, "--jobs", "3")
+        assert serial == parallel
 
 
 def test_evaluate_match_perfect_rows_on_separable_corpus(workdir, capsys):

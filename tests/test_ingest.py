@@ -80,6 +80,34 @@ def test_parse_rejects_missing_header():
         parse_failure_text("Tests run: 3, Failures: 1", TestId("p", "A", "m"))
 
 
+@pytest.mark.parametrize("header", ["java.lang.", "java.lang.: boom", ".", ":"])
+def test_parse_rejects_a_header_without_exception_name(header):
+    with pytest.raises(MalformedLog, match="exception header"):
+        parse_failure_text(f"{header}\n\tat a.B.test(B.java:3)", TestId("p", "a.B", "test"))
+
+
+# Pieces of real logs, so the fuzzer reaches past the header into the frames.
+LOG_PIECES = st.sampled_from([
+    "at ", "\tat ", "Caused by: ", "Suppressed: ", 'Exception in thread "', '" ',
+    ".java:", "(Native Method)", "(Unknown Source)", "(", ")", ".", ":", " ",
+    "\n", "\r\n", "\t", "... 3 more", "java.lang.", "Exception", "a.B", "test",
+    "12", "-1", "\u00a0", "\u0663", "$",
+])
+
+
+@given(st.one_of(
+    st.text(),
+    st.lists(st.one_of(LOG_PIECES, st.text(max_size=3)), max_size=40).map("".join),
+))
+@settings(max_examples=500)
+def test_parse_raises_nothing_but_malformed_log(raw):
+    try:
+        rec = parse_failure_text(raw, TestId("p", "a.B", "test"), [])
+    except MalformedLog:
+        return
+    assert rec.exception_type
+
+
 def test_parse_skips_malformed_frames_with_diagnostics():
     raw = "E: boom\n at a.B.c(B.java:7)\n at nonsense here\n at a.B.d(B.java:9)\n"
     diagnostics = []

@@ -1,0 +1,136 @@
+"""The per-project match index kept on a Corpus.
+
+``project_index`` builds a project's index on first use and keeps it on the
+corpus until the next ``Corpus.add``; scoring, statistics and cross-test
+triage all read it. These tests count the builds, check that an add is seen,
+and check the stranger-test path of cross-test triage against the
+whole-project walk it replaced.
+"""
+from __future__ import annotations
+
+import dataclasses
+import itertools
+
+from conftest import frame, random_corpus, record
+from test_index_oracles import oracle_triage
+from flaketriage.evaluation import (
+    distinct_signature_counts,
+    exception_frequency,
+    score_matching,
+)
+from flaketriage.ingest import normalize
+from flaketriage.matching import (
+    MatchMode,
+    MatchScope,
+    ProjectIndex,
+    TriageBasis,
+    project_index,
+    repetitiveness,
+    triage,
+)
+from flaketriage.model import Corpus, Label, TestId
+
+
+def copy_of(corpus: Corpus) -> Corpus:
+    fresh = Corpus()
+    fresh.add_all(corpus.records())
+    return fresh
+
+
+def reports(corpus: Corpus):
+    """Every report that reads the index, for every mode and scope."""
+    return (
+        repetitiveness(corpus),
+        [score_matching(corpus, mode, scope)
+         for mode, scope in itertools.product(MatchMode, MatchScope)],
+        [exception_frequency(corpus, mode) for mode in MatchMode],
+        [distinct_signature_counts(corpus, p) for p in corpus.project_names()],
+    )
+
+
+def count_builds(monkeypatch) -> list[int]:
+    builds = []
+    build = ProjectIndex.__init__
+
+    def counted(self, records):
+        build(self, records)
+        builds.append(len(self.records))
+
+    monkeypatch.setattr(ProjectIndex, "__init__", counted)
+    return builds
+
+
+def test_reports_on_one_corpus_build_one_index_per_project(monkeypatch):
+    corpus = random_corpus(6, max_records=200)
+    expected = reports(copy_of(corpus))
+    builds = count_builds(monkeypatch)
+    for _ in range(2):
+        assert reports(corpus) == expected
+    for query in list(corpus.records())[::10]:
+        for mode in MatchMode:
+            triage(normalize(query), corpus, mode, MatchScope.CROSS_TEST)
+    projects = corpus.project_names()
+    assert len(projects) > 1
+    assert builds == [corpus.count(p) for p in projects]
+
+
+def test_add_drops_the_index(monkeypatch):
+    corpus = random_corpus(5, max_records=120)
+    builds = count_builds(monkeypatch)
+    project = corpus.project_names()[0]
+    before = project_index(corpus, project)
+    assert project_index(corpus, project) is before
+    corpus.add(dataclasses.replace(next(corpus.records(project)), label=Label.TRUE))
+    after = project_index(corpus, project)
+    assert after is not before and len(after.records) == len(before.records) + 1
+    assert len(builds) == 2
+    assert reports(corpus) == reports(copy_of(corpus))
+
+
+def test_cross_test_triage_sees_a_record_added_after_a_query():
+    corpus = random_corpus(9, max_records=150)
+    query = normalize(next(corpus.records()))
+    test = query.base.test
+    for mode in MatchMode:
+        first = triage(query, corpus, mode, MatchScope.CROSS_TEST)
+        assert first == oracle_triage(query, corpus, mode, MatchScope.CROSS_TEST)
+        corpus.add(dataclasses.replace(query.base, label=Label.FLAKY))
+        position = len(corpus.bucket(test, Label.FLAKY)) - 1
+        added = f"{test.project}/{test.full_name()}/flaky[{position}]"
+        second = triage(query, corpus, mode, MatchScope.CROSS_TEST)
+        assert second == oracle_triage(query, corpus, mode, MatchScope.CROSS_TEST)
+        assert added in second.evidence and added not in first.evidence
+
+
+def test_stranger_test_is_a_known_test_of_its_own_query():
+    helper = frame("a.B.testutil.Helper", "go", "Helper.java", 4)
+    lib = frame("lib.X", "run", "X.java", 1)
+    corpus = Corpus()
+    other = TestId("p", "a.C", "other")
+    corpus.add(record(other, frames=(lib, helper), label=Label.FLAKY))
+    corpus.add(record(other, frames=(lib,), label=Label.TRUE))
+    corpus.add(record(other, exception="E", frames=(lib,), label=Label.TRUE))
+    index = project_index(corpus, "p")
+    index.groups(MatchMode.FULL, MatchScope.CROSS_TEST)
+    memo = dict(index._groups)
+
+    # "a.B.testutil.Helper.go" starts with the stranger's full name "a.B.test",
+    # so the history frame is the stranger's own and drops out of the key.
+    stranger = normalize(record(TestId("p", "a.B", "test"), frames=(lib, helper)))
+    got = triage(stranger, corpus, MatchMode.FULL, MatchScope.CROSS_TEST)
+    assert got == oracle_triage(stranger, corpus, MatchMode.FULL, MatchScope.CROSS_TEST)
+    assert got.basis is TriageBasis.MATCHED_BOTH
+    assert got.evidence == ("p/a.C.other/flaky[0]", "p/a.C.other/true[0]")
+    assert project_index(corpus, "p") is index and index._groups == memo
+
+
+def test_query_of_an_unknown_project_builds_no_index(monkeypatch):
+    corpus = random_corpus(6, max_records=120)
+    builds = count_builds(monkeypatch)
+    for i in range(3):
+        query = normalize(record(TestId(f"elsewhere{i}", "a.B", "m")))
+        for mode in MatchMode:
+            got = triage(query, corpus, mode, MatchScope.CROSS_TEST)
+            assert got == oracle_triage(query, corpus, mode, MatchScope.CROSS_TEST)
+            assert got.basis is TriageBasis.MATCHED_NONE
+    assert builds == []
