@@ -50,6 +50,46 @@ def alluxio_corpus_xml() -> bytes:
     return doc.encode("utf-8")
 
 
+# Documents the corpus reader rejects, each with a fragment of its message.
+SCHEMA_ERROR_CASES = [
+    (b"<NotCorpus/>", "Corpus"),
+    (b"<Corpus><Oops/></Corpus>", "Oops"),
+    (b'<Corpus><Failure><E>E</E><M/><S/></Failure></Corpus>', "T"),
+    (b'<Corpus><Failure><T>a.T.m</T><E>E</E><M/><S/></Failure></Corpus>', "project"),
+    (b'<Corpus><Failure><T project="p">a.T.m</T><M/><S/></Failure></Corpus>', "E"),
+    (b'<Corpus><Failure><T project="p">a.T.m</T><E>E</E><S/></Failure></Corpus>', "M"),
+    (b'<Corpus><Failure><T project="p">a.T.m</T><E>E</E><M/></Failure></Corpus>', "S"),
+    (b'<Corpus><Failure label="odd"><T project="p">a.T.m</T><E>E</E><M/><S/></Failure></Corpus>', "label"),
+    (b'<Corpus><Failure><T project="p">nodots</T><E>E</E><M/><S/></Failure></Corpus>', "class.method"),
+    (b'<Corpus><Failure><T project="p">a.T.m</T><E>E</E><M/><S><line>bad line</line></S></Failure></Corpus>', "line"),
+    (b'<Corpus><Failure><T project="p">a.T.m</T><E>E</E><M/><S><foo/></S></Failure></Corpus>', "<foo> under <S>"),
+    (b"<Corpus>", "well-formed"),
+    (b'<Corpus><Project><Failure><T project="p">a.T.m</T><E>E</E><M/><S/></Failure></Project></Corpus>', "name"),
+]
+
+# Documents that older readers took without an error (a stray element or
+# text was dropped, a repeated part ignored, or a ValueError escaped).
+STRICT_SCHEMA_CASES = [
+    (b'<Corpus><Failure><T project="p">a.T<b/>.m</T><E>E</E><M/><S/></Failure></Corpus>', "<T> must not contain the element <b>"),
+    (b'<Corpus><Failure><T project="p">a.T.m</T><E>E<b/></E><M/><S/></Failure></Corpus>', "<E> must not contain the element <b>"),
+    (b'<Corpus><Failure><T project="p">a.T.m</T><E>E</E><M>keep<b/>lost</M><S/></Failure></Corpus>', "<M> must not contain the element <b>"),
+    (b'<Corpus><Failure><T project="p">a.T.m</T><E>E</E><M/><S><line>a.B.c(B.java:1)<i/></line></S></Failure></Corpus>', "<line> must not contain the element <i>"),
+    (b'<Corpus><Failure><T project="p">a.T.m</T><T project="q">a.T.m</T><E>E</E><M/><S/></Failure></Corpus>', "more than one <T>"),
+    (b'<Corpus><Failure><T project="p">a.T.m</T><E>E</E><E>F</E><M/><S/></Failure></Corpus>', "more than one <E>"),
+    (b'<Corpus><Failure><T project="p">a.T.m</T><E>E</E><M/><M/><S/></Failure></Corpus>', "more than one <M>"),
+    (b'<Corpus><Failure><T project="p">a.T.m</T><E>E</E><M/><S/><S/></Failure></Corpus>', "more than one <S>"),
+    (b'<Corpus><Failure><T project="p">a.T.m</T><E>E</E><M/><S/><Z/></Failure></Corpus>', "unexpected element <Z> under <Failure>"),
+    (b'<Corpus>stray<Failure><T project="p">a.T.m</T><E>E</E><M/><S/></Failure></Corpus>', "'stray' directly under <Corpus>"),
+    (b'<Corpus><Failure><T project="p">a.T.m</T><E>E</E><M/><S/></Failure>stray</Corpus>', "'stray' directly under <Corpus>"),
+    (b'<Corpus><Project name="p"><Failure><T project="p">a.T.m</T><E>E</E><M/><S/></Failure>stray</Project></Corpus>', "'stray' directly under <Project>"),
+    (b'<Corpus><Failure><T project="p">a.T.m</T>stray<E>E</E><M/><S/></Failure></Corpus>', "'stray' directly under <Failure>"),
+    (b'<Corpus><Failure><T project="p">a.T.m</T><E>E</E><M/><S>a.B.c(B.java:1)</S></Failure></Corpus>', "'a.B.c(B.java:1)' directly under <S>"),
+    (b'<Corpus><Failure><T project="p">a.T.m</T><E>E</E><M/><S><line>a.B.c(B.java:1)</line>a.B.d(B.java:2)</S></Failure></Corpus>', "'a.B.d(B.java:2)' directly under <S>"),
+    (b'<Corpus><Failure><T project="p">.m</T><E>E</E><M/><S/></Failure></Corpus>', "class.method"),
+    (b'<Corpus><Failure><T project="p">a.T.</T><E>E</E><M/><S/></Failure></Corpus>', "class.method"),
+]
+
+
 @pytest.fixture
 def alluxio_test() -> TestId:
     return ALLUXIO_TEST

@@ -27,6 +27,8 @@ from conftest import (
     ALLUXIO_FRAMES,
     ALLUXIO_MESSAGE_1,
     ALLUXIO_TEST,
+    SCHEMA_ERROR_CASES,
+    STRICT_SCHEMA_CASES,
     frame,
     record,
 )
@@ -187,6 +189,15 @@ def test_parsed_frames_render_back_to_their_raw_text(alluxio_logs, alluxio_test)
         assert f.render() == f.raw
     spaced = parse_frame("  a.B.c(B.java:7)  ")
     assert spaced.render() == spaced.raw == "a.B.c(B.java:7)"
+
+
+def test_frames_share_one_object_per_name():
+    # Built at run time, so no two texts share a name object to begin with.
+    first = parse_frame("".join(["a.B.run(", "B.java:1)"]))
+    second = parse_frame("".join(["a.B.run(", "B.java:2)"]))
+    assert first.class_fqn is second.class_fqn
+    assert first.method is second.method
+    assert first.file is second.file
 
 
 def test_parse_frame_rejects_bad_shapes():
@@ -372,22 +383,7 @@ def test_read_project_grouping_and_mismatch():
         read_corpus_xml(bad)
 
 
-@pytest.mark.parametrize(
-    "doc, fragment",
-    [
-        (b"<NotCorpus/>", "Corpus"),
-        (b"<Corpus><Oops/></Corpus>", "Oops"),
-        (b'<Corpus><Failure><E>E</E><M/><S/></Failure></Corpus>', "T"),
-        (b'<Corpus><Failure><T>a.T.m</T><E>E</E><M/><S/></Failure></Corpus>', "project"),
-        (b'<Corpus><Failure><T project="p">a.T.m</T><M/><S/></Failure></Corpus>', "E"),
-        (b'<Corpus><Failure><T project="p">a.T.m</T><E>E</E><S/></Failure></Corpus>', "M"),
-        (b'<Corpus><Failure><T project="p">a.T.m</T><E>E</E><M/></Failure></Corpus>', "S"),
-        (b'<Corpus><Failure label="odd"><T project="p">a.T.m</T><E>E</E><M/><S/></Failure></Corpus>', "label"),
-        (b'<Corpus><Failure><T project="p">nodots</T><E>E</E><M/><S/></Failure></Corpus>', "class.method"),
-        (b'<Corpus><Failure><T project="p">a.T.m</T><E>E</E><M/><S><line>bad line</line></S></Failure></Corpus>', "line"),
-        (b"<Corpus>", "well-formed"),
-    ],
-)
+@pytest.mark.parametrize("doc, fragment", SCHEMA_ERROR_CASES + STRICT_SCHEMA_CASES)
 def test_read_corpus_schema_errors(doc, fragment):
     with pytest.raises(SchemaError) as excinfo:
         read_corpus_xml(doc)
