@@ -165,10 +165,19 @@ def parse_failure_text(
 def parse_failure_file(
     path: Path | str, test: TestId, diagnostics: list[str] | None = None
 ) -> FailureRecord:
-    """Parse one plain-text failure log file."""
-    return parse_failure_text(
-        Path(path).read_text(encoding="utf-8"), test, diagnostics
-    )
+    """Parse one plain-text failure log file, which must be UTF-8.
+
+    Bytes that are not UTF-8 raise :class:`MalformedLog` rather than being
+    replaced, since a replaced byte would silently change a frame's text.
+    """
+    data = Path(path).read_bytes()
+    try:
+        raw = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedLog(
+            f"{path}: not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}"
+        ) from None
+    return parse_failure_text(raw, test, diagnostics)
 
 
 def parse_failure_tree(

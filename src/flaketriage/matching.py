@@ -150,13 +150,18 @@ def triage(
     MATCHED_NONE (predicted true), not an error. Evidence lists the matching
     flaky records, then the matching true ones, each in history order.
     """
-    test = nf.base.test
+    # A match needs equal exception types, so a record of another type is
+    # never normalized or signed; under EXCEPTION_ONLY the type alone decides.
+    test, exception = nf.base.test, nf.base.exception_type
     hits: dict[Label, list[str]] = {Label.FLAKY: [], Label.TRUE: []}
     if scope is MatchScope.PER_TEST:
         target = signature(nf, mode, scope)
         for label, ids in hits.items():
             for i, record in enumerate(history.bucket(test, label)):
-                if matches(target, signature(normalize(record), mode, scope)):
+                if record.exception_type == exception and (
+                    mode is MatchMode.EXCEPTION_ONLY
+                    or matches(target, signature(normalize(record), mode, scope))
+                ):
                     ids.append(record_id(test, label, i))
     elif test.project in history.project_names():  # no index for a stranger project
         index = project_index(history, test.project)
@@ -170,7 +175,8 @@ def triage(
             positions = [
                 i
                 for i, other in enumerate(index.normalized)
-                if matches(target, signature(other, mode, scope, known))
+                if other.base.exception_type == exception
+                and matches(target, signature(other, mode, scope, known))
             ]
         for i in positions:
             hits[index.records[i].label].append(index.ids[i])

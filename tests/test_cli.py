@@ -1,8 +1,13 @@
 """Command-line behaviour: flags, output, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flaketriage
 from flaketriage.cli import EXIT_DATA, EXIT_OK, EXIT_TRUE_FAILURE, EXIT_USAGE, main
 from flaketriage.ingest import read_corpus_xml
 
@@ -203,6 +208,27 @@ def test_empty_project_is_a_data_error(workdir, capsys):
     assert "error: project must be non-empty" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("parse", "--in", "latin1.log", "--project", "alluxio"),
+        ("classify", "--corpus", "corpus.xml", "--failure", "latin1.log",
+         "--method", "match"),
+    ],
+)
+def test_log_that_is_not_utf8_is_a_data_error(workdir, capsys, command):
+    log = workdir / "latin1.log"
+    log.write_bytes(b"java.lang.AssertionError: caf\xe9\n\tat a.B.test(B.java:1)\n")
+    code, out, err = run(
+        capsys,
+        *(workdir / a if a.endswith((".log", ".xml")) else a for a in command),
+        "--test", "tachyon.JournalTest.TableTest",
+    )
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err == f"error: {log}: not UTF-8: byte 0xe9 at offset 29\n"
+
+
 def test_classify_warns_about_malformed_frames(workdir, capsys):
     log = (workdir / "failure.log").read_text()
     header, rest = log.split("\n", 1)
@@ -379,3 +405,14 @@ def test_evaluate_match_perfect_rows_on_separable_corpus(workdir, capsys):
     assert len(rows) == 3  # two projects and the total
     for line in rows:
         assert line.count("100.0%") == 4  # P, R, SP, F1
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout():
+    src = Path(flaketriage.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "flaketriage", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_OK
+    assert done.stdout.startswith("usage: flaketriage ")

@@ -2,11 +2,13 @@
 
 Feature extraction, the cross-test frame filter and triage each once
 recomputed everything per record: a sorted scan over every known test name,
-a walk over the whole project. The oracles below are those implementations,
+a walk over the whole project, a normalization of every record of the
+query's test. The oracles below are those implementations,
 kept verbatim; the indexed paths must agree with them exactly.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -24,6 +26,7 @@ from flaketriage.evaluation import (
     cross_validate_project,
     tree_trainer,
 )
+from flaketriage import matching
 from flaketriage.ingest import normalize
 from flaketriage.matching import (
     FailureSignature,
@@ -36,7 +39,7 @@ from flaketriage.matching import (
     signature,
     triage,
 )
-from flaketriage.model import Corpus, KnownTests, Label, TestId
+from flaketriage.model import Corpus, KnownTests, Label, TestId, record_id
 
 SEEDS = range(50)
 # random_corpus draws no framework frames; let its Lib1 classes stand in.
@@ -123,6 +126,31 @@ def oracle_triage(nf, history, mode, scope):
     else:
         basis = TriageBasis.MATCHED_NONE
     predicted = Label.FLAKY if basis is TriageBasis.MATCHED_FLAKY_ONLY else Label.TRUE
+    return TriageVerdict(predicted, basis, tuple(flaky_hits + true_hits))
+
+
+def oracle_per_test_triage(nf, history, mode):
+    scope = MatchScope.PER_TEST
+    test = nf.base.test
+    hits: dict[Label, list[str]] = {Label.FLAKY: [], Label.TRUE: []}
+    target = signature(nf, mode, scope)
+    for label, ids in hits.items():
+        for i, record in enumerate(history.bucket(test, label)):
+            if matches(target, signature(normalize(record), mode, scope)):
+                ids.append(record_id(test, label, i))
+
+    flaky_hits, true_hits = hits[Label.FLAKY], hits[Label.TRUE]
+    if flaky_hits and true_hits:
+        basis = TriageBasis.MATCHED_BOTH
+    elif flaky_hits:
+        basis = TriageBasis.MATCHED_FLAKY_ONLY
+    elif true_hits:
+        basis = TriageBasis.MATCHED_TRUE
+    else:
+        basis = TriageBasis.MATCHED_NONE
+    predicted = (
+        Label.FLAKY if basis is TriageBasis.MATCHED_FLAKY_ONLY else Label.TRUE
+    )
     return TriageVerdict(predicted, basis, tuple(flaky_hits + true_hits))
 
 
@@ -257,6 +285,24 @@ def test_test_names_that_prefix_one_another():
 # --- consumers of the index ---------------------------------------------------
 
 
+def variant_queries(corpus: Corpus):
+    """Each record, and copies with its exception or its frames swapped.
+
+    The swapped exceptions include the record's own name in swapped case,
+    which matches nothing; the swapped frames come from the next record of
+    the same test, so its same-exception records hold both hits and misses.
+    """
+    exceptions = sorted({r.exception_type for r in corpus.records()})
+    for test in (t for p in corpus.project_names() for t in corpus.tests(p)):
+        own = [r for label in Label for r in corpus.bucket(test, label)]
+        for r, neighbour in zip(own, own[1:] + own[:1]):
+            yield r
+            for exception in [*exceptions, r.exception_type.swapcase()]:
+                if exception != r.exception_type:
+                    yield dataclasses.replace(r, exception_type=exception)
+            yield dataclasses.replace(r, frames=neighbour.frames)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_triage_matches_the_whole_project_walk(seed):
     corpus = random_corpus(seed, max_records=80)
@@ -265,9 +311,52 @@ def test_triage_matches_the_whole_project_walk(seed):
         nf = normalize(query)
         for mode, scope in itertools.product(MatchMode, MatchScope):
             assert triage(nf, corpus, mode, scope) == oracle_triage(nf, corpus, mode, scope)
-    stranger = normalize(record(TestId("p0", "com.p0.New", "m"), frames=records[0].frames))
-    for mode, scope in itertools.product(MatchMode, MatchScope):
-        assert triage(stranger, corpus, mode, scope) == oracle_triage(stranger, corpus, mode, scope)
+    strangers = [record(TestId("p0", "com.p0.New", "m"), frames=records[0].frames)]
+    strangers += [
+        dataclasses.replace(q, test=TestId(q.test.project, f"com.{q.test.project}.New", "m"))
+        for q in itertools.islice(variant_queries(corpus), 0, None, 4)
+    ]
+    for stranger in map(normalize, strangers):
+        for mode, scope in itertools.product(MatchMode, MatchScope):
+            assert triage(stranger, corpus, mode, scope) == (
+                oracle_triage(stranger, corpus, mode, scope)
+            )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_per_test_triage_matches_the_bucket_walk(seed):
+    corpus = random_corpus(seed, max_records=80)
+    for query in variant_queries(corpus):
+        nf = normalize(query)
+        for mode in MatchMode:
+            assert triage(nf, corpus, mode, MatchScope.PER_TEST) == (
+                oracle_per_test_triage(nf, corpus, mode)
+            )
+
+
+def test_per_test_triage_normalizes_only_same_exception_records(monkeypatch):
+    calls = []
+
+    def counted(rec, *args):
+        calls.append(rec)
+        return normalize(rec, *args)
+
+    monkeypatch.setattr(matching, "normalize", counted)
+    skipped = 0
+    for seed in range(10):
+        corpus = random_corpus(seed, max_records=80)
+        for query in corpus.records():
+            nf = normalize(query)
+            bucketed = [r for label in Label for r in corpus.bucket(query.test, label)]
+            same = [r for r in bucketed if r.exception_type == query.exception_type]
+            skipped += len(bucketed) - len(same)
+            calls.clear()
+            triage(nf, corpus, MatchMode.FULL, MatchScope.PER_TEST)
+            assert list(map(id, calls)) == list(map(id, same))
+            calls.clear()
+            triage(nf, corpus, MatchMode.EXCEPTION_ONLY, MatchScope.PER_TEST)
+            assert calls == []
+    assert skipped  # a whole-bucket walk would have normalized these
 
 
 @pytest.mark.parametrize("seed", range(0, 50, 5))

@@ -15,6 +15,7 @@ from flaketriage.ingest import (
     NormalizedFailure,
     TruncationBasis,
     normalize,
+    parse_failure_file,
     parse_failure_text,
     parse_failure_tree,
     parse_frame,
@@ -214,6 +215,29 @@ def test_parse_failure_tree(tmp_path, alluxio_logs, alluxio_test):
     records = parse_failure_tree(tmp_path, alluxio_test)
     assert len(records) == 2
     assert all(r.exception_type == "UnknownHostException" for r in records)
+
+
+LATIN1_LOG = b"java.lang.AssertionError: caf\xe9\n\tat a.B.test(B.java:1)\n"
+
+
+def test_parse_failure_file_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "latin1.log"
+    path.write_bytes(LATIN1_LOG)
+    with pytest.raises(MalformedLog) as info:
+        parse_failure_file(path, TestId("p", "a.B", "test"))
+    assert str(info.value) == f"{path}: not UTF-8: byte 0xe9 at offset 29"
+    assert LATIN1_LOG[29:30] == b"\xe9"
+    with pytest.raises(MalformedLog, match="offset 29"):
+        parse_failure_tree(tmp_path, TestId("p", "a.B", "test"))
+
+
+def test_parse_failure_file_keeps_utf8_and_crlf_logs(tmp_path):
+    path = tmp_path / "utf8.log"
+    path.write_bytes(LATIN1_LOG.decode("latin-1").replace("\n", "\r\n").encode("utf-8"))
+    rec = parse_failure_file(path, TestId("p", "a.B", "test"))
+    assert (rec.message, [f.render() for f in rec.frames]) == (
+        "caf\u00e9", ["a.B.test(B.java:1)"],
+    )
 
 
 # --- normalization ----------------------------------------------------------
