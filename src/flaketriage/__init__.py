@@ -25,6 +25,7 @@ from .errors import (
     InsufficientFlaky,
     InsufficientTrue,
     InvalidConfig,
+    InvalidLogBase,
     MalformedFrame,
     MalformedLog,
     ModeMismatch,

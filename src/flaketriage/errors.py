@@ -45,6 +45,10 @@ class EmptyHistory(FlakeTriageError):
     """Nearest-neighbour classification was asked to run without any history."""
 
 
+class InvalidLogBase(FlakeTriageError, ValueError):
+    """A TF-IDF logarithm base is not positive, finite and other than 1."""
+
+
 class InsufficientFlaky(FlakeTriageError):
     """A project has fewer flaky failures than cross-validation folds."""
 

@@ -1,13 +1,15 @@
 """Failure tokenization, TF-IDF weighting, and nearest-neighbour triage."""
 from __future__ import annotations
 
+import functools
 import math
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable
 
-from .errors import EmptyDocument, EmptyHistory, UnknownTerm
+from .errors import EmptyDocument, EmptyHistory, InvalidLogBase, UnknownTerm
 from .matching import TriageBasis, TriageVerdict
 from .model import Corpus, FailureRecord, Label
 
@@ -15,6 +17,9 @@ from .model import Corpus, FailureRecord, Label
 _SYMBOL_TABLE = str.maketrans({c: " " for c in "():<>$,;"})
 
 WeightedVector = dict[str, float]
+
+# Relative widening of each document's cosine bound in TfidfIndex.classify.
+_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -42,10 +47,17 @@ def tokenize(record: FailureRecord, failure_id: str = "") -> TokenDocument:
 
     The message text contributes nothing; line numbers are kept as tokens.
     """
-    tokens = tokenize_line(record.exception_type)
+    return TokenDocument(failure_id, _tokens(record, tokenize_line))
+
+
+def _tokens(
+    record: FailureRecord, split: Callable[[str], list[str]]
+) -> tuple[str, ...]:
+    # split may hand out one cached list per line: copy it, never extend it.
+    tokens = list(split(record.exception_type))
     for frame in record.frames:
-        tokens.extend(tokenize_line(frame.raw))
-    return TokenDocument(failure_id, tuple(tokens))
+        tokens += split(frame.raw)
+    return tuple(tokens)
 
 
 def tf(term: str, doc: TokenDocument) -> float:
@@ -59,16 +71,30 @@ def _log(value: float, base: float | None) -> float:
     return math.log(value) if base is None else math.log(value, base)
 
 
+def _check_log_base(base: float | None) -> None:
+    """Reject a base no logarithm has: one not positive, finite and other than 1.
+
+    A base in (0, 1) is valid: it turns every weight negative and leaves
+    every cosine as it is.
+    """
+    if base is not None and not (0 < base < math.inf and base != 1):
+        raise InvalidLogBase(
+            f"log base {base!r} is invalid: it must be positive, finite and not 1"
+        )
+
+
 def idf(
     term: str, corpus: list[TokenDocument], log_base: float | None = None
 ) -> float:
     """Inverse document frequency: log of corpus size over containing docs.
 
     Natural logarithm by default; the base only rescales every weight by the
-    same positive factor, so cosine verdicts do not depend on it.
+    same non-zero factor (negative below 1), so cosine verdicts do not depend
+    on it.
     """
     if not corpus:
         raise ValueError("idf needs a non-empty corpus")
+    _check_log_base(log_base)
     containing = sum(1 for doc in corpus if term in doc.tokens)
     if containing == 0:
         raise UnknownTerm(f"term {term!r} occurs in no document")
@@ -112,6 +138,7 @@ def vectorize(
     """TF-IDF weights of every distinct term of the document."""
     if not corpus:
         raise ValueError("vectorize needs a non-empty corpus")
+    _check_log_base(log_base)
     return _weights(doc, _document_frequencies(corpus), len(corpus), log_base)
 
 
@@ -145,9 +172,6 @@ class _Postings:
     places: list[int] = field(default_factory=list)  # indexes into squares
     tfs: list[float] = field(default_factory=list)
 
-    def __iter__(self) -> Iterator[tuple[int, int, float]]:
-        return zip(self.documents, self.places, self.tfs)
-
 
 class TfidfIndex:
     """One project's history, prepared once for many nearest-neighbour queries.
@@ -160,8 +184,11 @@ class TfidfIndex:
     query-free idf ``log((n + 1) / df)``, and a query corrects only its own
     terms.
 
-    Scoring is term-at-a-time over postings: only documents sharing a term of
-    non-zero query weight can have a non-zero similarity. Each sum runs in
+    Scoring walks the postings of the query's terms: only documents sharing
+    a term of non-zero query weight can have a non-zero similarity. That walk
+    gives each such document an upper bound on its similarity, from its
+    query-free squared norm kept here, and only documents whose bound can
+    reach the best score so far are scored exactly. An exact score sums in
     sorted-term order, as :func:`cosine` does, so every similarity is the
     same float :func:`cosine` gives and ties are exact float equality.
     """
@@ -169,14 +196,17 @@ class TfidfIndex:
     def __init__(
         self, history: Corpus, project: str, log_base: float | None = None
     ) -> None:
+        _check_log_base(log_base)
         self.project = project
         self.log_base = log_base
         self.size = 0  # history records, duplicates included
         self.empty_id: str | None = None  # first record without tokens
         groups: dict[tuple[str, ...], list[tuple[str, Label]]] = {}
+        # Tokenizes each distinct line once; freed with this build.
+        split = functools.cache(tokenize_line)
         for record_id, record in history.identified_records(project):
             self.size += 1
-            tokens = tokenize(record, record_id).tokens
+            tokens = _tokens(record, split)
             if tokens:
                 groups.setdefault(tokens, []).append((record_id, record.label))
             elif self.empty_id is None:
@@ -195,6 +225,8 @@ class TfidfIndex:
 
         self.documents: list[_Document] = []
         self.postings: dict[str, _Postings] = {}
+        self._norms = array("d")  # each document's query-free squared norm
+        self._widest = 0  # the most distinct terms of any document
         # Equal term frequencies recur across documents; they share a float.
         shared: dict[tuple[int, int], float] = {}
         for position, (members, counts, total) in enumerate(counted):
@@ -211,6 +243,32 @@ class TfidfIndex:
                 postings.places.append(place)
                 postings.tfs.append(tf)
             self.documents.append(_Document(tuple(members), array("d", squares)))
+            self._norms.append(sum(squares))
+            self._widest = max(self._widest, len(squares))
+
+    def _similarity(
+        self,
+        position: int,
+        terms: list[str],
+        weights: WeightedVector,
+        idfs: dict[str, float],
+        query_norm: float,
+    ) -> float:
+        """The document's cosine with the query, the float :func:`cosine` gives."""
+        squares = self.documents[position].squares[:]
+        products = []
+        for term in terms:
+            postings = self.postings.get(term)
+            if postings is None:
+                continue
+            at = bisect_left(postings.documents, position)
+            if at == len(postings.documents) or postings.documents[at] != position:
+                continue
+            doc_weight = postings.tfs[at] * idfs[term]
+            squares[postings.places[at]] = doc_weight * doc_weight
+            if weights[term]:
+                products.append(weights[term] * doc_weight)
+        return sum(products) / (query_norm * math.sqrt(sum(squares)))
 
     def classify(self, query: FailureRecord) -> TriageVerdict:
         """The verdict :func:`classify_nn` gives ``query`` against this history."""
@@ -235,50 +293,57 @@ class TfidfIndex:
             raise EmptyDocument(f"document {self.empty_id!r} has no tokens")
         query_norm = math.sqrt(sum(weights[t] * weights[t] for t in sorted(weights)))
 
-        # Per candidate document: its squared weights with the query's terms
-        # corrected, and the terms of its dot product in sorted-term order.
-        hits: dict[int, tuple[array, list[float]]] = {}
-        for term in sorted(weights):
-            weight = weights[term]
+        # Bound, then rescore exactly. One walk over the query terms' postings
+        # sums each document's dot product with the query and the change the
+        # query makes to its squared norm; a zero-weight term (one in every
+        # document) adds 0.0 to each dot product and only corrects the norm.
+        terms = sorted(weights)
+        dots = [0.0] * len(self.documents)
+        cuts = [0.0] * len(self.documents)
+        for term in terms:
             postings = self.postings.get(term)
-            if weight == 0.0 or postings is None:
+            if postings is None:
                 continue
             idf = idfs[term]
-            for position, place, tf in postings:
-                doc_weight = tf * idf
-                hit = hits.get(position)
-                if hit is None:
-                    squares = self.documents[position].squares[:]
-                    hit = hits[position] = (squares, [])
-                hit[0][place] = doc_weight * doc_weight
-                hit[1].append(weight * doc_weight)
-        # A zero-weight query term is in every document: it adds exactly 0.0
-        # to each dot product, but its weight in each document drops to 0.
-        for term, weight in weights.items():
-            if weight == 0.0:
-                postings = self.postings[term]
-                idf = idfs[term]
-                for position, place, tf in postings:
-                    hit = hits.get(position)
-                    if hit is not None:
-                        doc_weight = tf * idf
-                        hit[0][place] = doc_weight * doc_weight
-
-        # Both norms are positive: each candidate shares a term of non-zero
-        # weight with the query.
-        scores = {
-            position: sum(products) / (query_norm * math.sqrt(sum(squares)))
-            for position, (squares, products) in hits.items()
-        }
-        best = max(scores.values(), default=0.0)
+            old = _log(size / self.frequencies[term], self.log_base)
+            scale, cut = weights[term] * idf, idf * idf - old * old
+            for position, tf in zip(postings.documents, postings.tfs):
+                dots[position] += scale * tf
+                cuts[position] += cut * tf * tf
+        # Each candidate's cosine is at most its bound. The sums above differ
+        # from the exact sorted-order sums by rounding alone: the dot product
+        # by under terms * 2**-53 relatively, the corrected squared norm by
+        # under terms * 2**-53 * norm absolutely, where terms counts the
+        # document's and the query's. So the bound is widened by _MARGIN; a
+        # corrected norm at or below floor * norm, where that error could
+        # exceed half the margin, may have cancelled (a document made mostly
+        # of the query's ubiquitous terms) and gets an infinite bound.
+        # Non-candidates (dot product 0) get -1 and are never scored.
+        widen = (1.0 + _MARGIN) / query_norm
+        floor = (self._widest + 8 * len(terms) + 32) * 2.0**-52 / _MARGIN
+        bounds = [
+            -1.0 if not dot
+            else math.inf if (left := norm + cut) <= floor * norm
+            else dot * widen / math.sqrt(left)
+            for dot, cut, norm in zip(dots, cuts, self._norms)
+        ]
+        # Score exactly in descending bound, until no bound can reach the best
+        # score; a bound equal to it may still tie, so it is scored too.
+        best, tops = 0.0, []
+        order = sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True)
+        for position in order:
+            if bounds[position] < best:
+                break
+            score = self._similarity(position, terms, weights, idfs, query_norm)
+            if score > best:
+                best, tops = score, [position]
+            elif score == best:
+                tops.append(position)
         if best == 0.0:
             return TriageVerdict(Label.TRUE, TriageBasis.MATCHED_NONE)
 
         top = [
-            member
-            for position, score in scores.items()
-            if score == best
-            for member in self.documents[position].members
+            member for position in tops for member in self.documents[position].members
         ]
         top_labels = {label for _, label in top}
         evidence = tuple(sorted(record_id for record_id, _ in top))
@@ -308,6 +373,7 @@ def classify_nn(
     The project's :class:`TfidfIndex` is built on the first query and kept
     on ``history`` until a record is added to it.
     """
+    _check_log_base(log_base)
     project = query.test.project
     index = history.derived(
         (TfidfIndex, project, log_base),

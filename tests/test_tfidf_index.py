@@ -8,6 +8,7 @@ must give the same verdict, basis and evidence, and raise the same errors.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import sys
 import threading
@@ -15,7 +16,12 @@ import threading
 import pytest
 
 from conftest import frame, random_corpus, record
-from flaketriage.errors import EmptyDocument, EmptyHistory, FlakeTriageError
+from flaketriage.errors import (
+    EmptyDocument,
+    EmptyHistory,
+    FlakeTriageError,
+    InvalidLogBase,
+)
 from flaketriage.evaluation import cross_validate_project, tfidf_trainer
 from flaketriage.matching import TriageBasis, TriageVerdict
 from flaketriage.model import Corpus, FailureRecord, Label, TestId
@@ -117,7 +123,7 @@ def test_index_matches_oracle_on_seeded_corpora(seed):
     assert bases - {TriageBasis.MATCHED_NONE}
 
 
-@pytest.mark.parametrize("log_base", [2, 10])
+@pytest.mark.parametrize("log_base", [0.1, 0.5, 2, 10])
 @pytest.mark.parametrize("seed", range(0, 100, 4))
 def test_index_matches_oracle_under_log_bases(seed, log_base):
     corpus = random_corpus(seed, max_records=120)
@@ -334,3 +340,136 @@ def test_tfidf_cv_matches_the_oracle_trainer(seed, monkeypatch):
         assert builds == [project] * 3  # one index per fold
         compared += 1
     assert compared
+
+
+# --- bound, then rescore -----------------------------------------------------
+
+
+def scored_positions(monkeypatch) -> list[int]:
+    """Collects the position of every document the index scores exactly."""
+    scored: list[int] = []
+    similarity = TfidfIndex._similarity
+
+    def counted(self, position, *args):
+        scored.append(position)
+        return similarity(self, position, *args)
+
+    monkeypatch.setattr(TfidfIndex, "_similarity", counted)
+    return scored
+
+
+def candidates(index: TfidfIndex, query: FailureRecord) -> set[int]:
+    """Documents sharing a term of non-zero weight with the query."""
+    return {
+        position
+        for term in set(tokenize(query).tokens)
+        if term in index.postings and index.frequencies[term] < index.size
+        for position in index.postings[term].documents
+    }
+
+
+def _token_history(*entries: tuple[str, str, Label]) -> Corpus:
+    history = Corpus()
+    for method, tokens, label in entries:
+        history.add(record(TestId("p", "a.T", method), tokens, label=label))
+    return history
+
+
+def test_distinct_documents_tied_at_the_top_are_both_scored(monkeypatch):
+    # Different terms, equal weights: the two similarities are one float.
+    scored = scored_positions(monkeypatch)
+    history = _token_history(
+        ("m1", "a.x", Label.FLAKY), ("m2", "b.y", Label.TRUE), ("m3", "z", Label.TRUE)
+    )
+    verdict = assert_agrees(record(TEST, "a.b"), history)
+    assert verdict == TriageVerdict(
+        Label.TRUE,
+        TriageBasis.MATCHED_BOTH,
+        ("p/a.T.m1/flaky[0]", "p/a.T.m2/true[0]"),
+    )
+    assert sorted(scored) == [0, 1]
+
+
+@pytest.mark.parametrize("winner", [Label.FLAKY, Label.TRUE])
+def test_runner_up_within_the_margin_is_scored_and_loses(winner, monkeypatch):
+    # Found by search: the runner-up's similarity is one ulp (1.4e-16
+    # relatively) below the winner's, far inside the bound's margin, so
+    # both must be scored exactly, and only the winner is evidence.
+    scored = scored_positions(monkeypatch)
+    loser = Label.TRUE if winner is Label.FLAKY else Label.FLAKY
+    history = _token_history(
+        ("m1", "e.x.e.x.e.a.d.a.a.c", winner),
+        ("m2", "x.b.y.b.x", loser),
+        ("m3", "e.e.e.d.d.e", Label.TRUE),
+    )
+    verdict = assert_agrees(record(TEST, "a.b"), history)
+    assert verdict.predicted is winner
+    assert verdict.evidence == (f"p/a.T.m1/{winner.value}[0]",)
+    assert sorted(scored) == [0, 1]
+
+
+def test_cancelled_norm_is_scored_exactly_and_wins():
+    # "u" is in every record, so the query zeroes its weight: m1's corrected
+    # norm is about 1e-9 of its query-free norm, smaller than the rounding of
+    # the correction allows to bound. m1 points exactly along the query and
+    # must beat m2, whose similarity is about 1 - 1e-7. (Found by search:
+    # without the cancellation guard, m1's rounded bound falls below m2's
+    # score, and m1 is never scored.)
+    history = _token_history(
+        ("m1", ".".join(["u"] * 29250 + ["a"]), Label.FLAKY),
+        ("m2", ".".join(["u"] + ["a"] * 10000 + ["z"]), Label.TRUE),
+        ("m3", "u.w", Label.TRUE),
+    )
+    verdict = assert_agrees(record(TEST, "u.a"), history)
+    assert verdict == TriageVerdict(
+        Label.FLAKY, TriageBasis.MATCHED_FLAKY_ONLY, ("p/a.T.m1/flaky[0]",)
+    )
+
+
+def test_bound_scores_few_candidates_on_seeded_corpora(monkeypatch):
+    scored = scored_positions(monkeypatch)
+    total_scored = total_candidates = 0
+    for seed in range(20):
+        corpus = random_corpus(seed, max_records=250)
+        indexes = {p: TfidfIndex(corpus, p) for p in corpus.project_names()}
+        for query in queries_for(corpus, random.Random(seed)):
+            index = indexes[query.test.project]
+            scored.clear()
+            try:
+                index.classify(query)
+            except FlakeTriageError:
+                continue
+            assert set(scored) <= candidates(index, query)
+            total_scored += len(scored)
+            total_candidates += len(candidates(index, query))
+    assert total_scored * 10 <= total_candidates, (total_scored, total_candidates)
+
+
+@pytest.mark.parametrize("seed", range(0, 100, 10))
+def test_index_counts_the_same_tokens_as_tokenize(seed):
+    corpus = random_corpus(seed)
+    for project in corpus.project_names():
+        docs = [tokenize(r) for _, r in corpus.identified_records(project)]
+        index = TfidfIndex(corpus, project)
+        assert index.frequencies == _document_frequencies(docs)
+        assert len(index.documents) == len({d.tokens for d in docs if d.tokens})
+
+
+# --- log base ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "log_base", [1, 1.0, True, 0, 0.0, -2, -0.5, math.nan, math.inf, -math.inf]
+)
+def test_invalid_log_base_is_rejected_before_any_index(log_base, monkeypatch):
+    derived = []
+    monkeypatch.setattr(Corpus, "derived", lambda *args: derived.append(args))
+    history = _history(("E", SHARED, Label.FLAKY, "m2"), ("F", SHARED, Label.TRUE, "m3"))
+    with pytest.raises(InvalidLogBase) as excinfo:
+        classify_nn(record(TEST, "E", frames=SHARED), history, log_base)
+    assert isinstance(excinfo.value, FlakeTriageError)
+    assert isinstance(excinfo.value, ValueError)
+    assert repr(log_base) in str(excinfo.value)
+    assert derived == []
+    with pytest.raises(InvalidLogBase):
+        TfidfIndex(history, "p", log_base)
