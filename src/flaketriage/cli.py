@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import evaluation
-from .errors import FlakeTriageError
+from .errors import FlakeTriageError, InsufficientFlaky, InsufficientTrue
 from .ingest import (
     normalize,
     parse_failure_file,
@@ -37,6 +37,8 @@ EXIT_TRUE_FAILURE = 3
 
 _MODES = {"full": MatchMode.FULL, "exception-only": MatchMode.EXCEPTION_ONLY}
 _SCOPES = {"per-test": MatchScope.PER_TEST, "cross-test": MatchScope.CROSS_TEST}
+# The methods whose training samples --oversample balances.
+_OVERSAMPLED = ("tree", "bayes")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -294,9 +296,12 @@ def _cmd_evaluate(args) -> int:
                     f"({len(flaky)})"
                 )
                 return project, ("skipped", reason)
-            result = evaluation.cross_validate_project(
-                flaky, true, args.k, trainer, args.seed
-            )
+            try:
+                result = evaluation.cross_validate_project(
+                    flaky, true, args.k, trainer, args.seed
+                )
+            except (InsufficientFlaky, InsufficientTrue) as exc:
+                raise type(exc)(f"project {project!r}: {exc}") from None
             return project, ("done", result)
 
         outcomes = dict(_map_projects(run, projects, args.jobs))
@@ -417,6 +422,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "oversample", False) and args.method not in _OVERSAMPLED:
+            parser.error(
+                f"--oversample applies only to --method tree or bayes, "
+                f"not {args.method}"
+            )
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -353,9 +353,12 @@ def stratified_cv(
                 f"fewer than {min_flaky} flaky failures ({len(flaky)})"
             )
             continue
-        per_project[project] = cross_validate_project(
-            flaky, true, k, trainer, seed
-        )
+        try:
+            per_project[project] = cross_validate_project(
+                flaky, true, k, trainer, seed
+            )
+        except (InsufficientFlaky, InsufficientTrue) as exc:
+            raise type(exc)(f"project {project!r}: {exc}") from None
     return CorpusCvResult(per_project, skipped)
 
 

@@ -454,6 +454,7 @@ def _read_failure(
     exception_type = (e_elem.text or "").strip()
     if not exception_type:
         raise SchemaError("<E> must contain an exception type")
+    exception_type = sys.intern(exception_type)  # a few names, many failures
 
     if m_elem is None:
         raise SchemaError("<Failure> is missing its <M> child")

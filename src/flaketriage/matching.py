@@ -156,13 +156,25 @@ def triage(
     hits: dict[Label, list[str]] = {Label.FLAKY: [], Label.TRUE: []}
     if scope is MatchScope.PER_TEST:
         target = signature(nf, mode, scope)
+        # With the test and exception fixed, the frames alone decide, and
+        # copies of a recurring failure share frame objects, so each sequence
+        # of frame objects is signed once. An id names an object only while
+        # it lives, so the memo must not outlive this call.
+        matched: dict[tuple[int, ...], bool] = {}
         for label, ids in hits.items():
             for i, record in enumerate(history.bucket(test, label)):
-                if record.exception_type == exception and (
-                    mode is MatchMode.EXCEPTION_ONLY
-                    or matches(target, signature(normalize(record), mode, scope))
-                ):
-                    ids.append(record_id(test, label, i))
+                if record.exception_type != exception:
+                    continue
+                if mode is MatchMode.FULL:
+                    frames = tuple(map(id, record.frames))
+                    hit = matched.get(frames)
+                    if hit is None:
+                        hit = matched[frames] = matches(
+                            target, signature(normalize(record), mode, scope)
+                        )
+                    if not hit:
+                        continue
+                ids.append(record_id(test, label, i))
     elif test.project in history.project_names():  # no index for a stranger project
         index = project_index(history, test.project)
         if test in index.known.tests:

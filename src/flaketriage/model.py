@@ -97,7 +97,7 @@ class KnownTests:
         return None if others else name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StackFrame:
     """One stack-trace line: class, method, and source position.
 
@@ -142,7 +142,7 @@ class StackFrame:
         return self.raw
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FailureRecord:
     """One observed failure of one test.
 

@@ -345,6 +345,41 @@ def test_evaluate_rejects_out_of_range_counts_as_usage_errors(
     assert f"argument {flag}: must be at least" in err
 
 
+@pytest.mark.parametrize("method", ["match", "tfidf"])
+def test_evaluate_oversample_without_a_feature_method_is_usage_error(
+    synth_corpus, capsys, method
+):
+    code, out, err = run(
+        capsys, "evaluate", "--corpus", synth_corpus, "--method", method, "--oversample"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"--oversample applies only to --method tree or bayes, not {method}" in err
+
+
+def test_evaluate_oversample_with_a_feature_method_runs(synth_corpus, capsys):
+    code, out, _ = run(
+        capsys, "evaluate", "--corpus", synth_corpus, "--method", "bayes", "--oversample"
+    )
+    assert code == EXIT_OK
+    assert "oversample=on) ==" in out
+
+
+def test_evaluate_cv_data_error_names_the_project(tmp_path, capsys):
+    failures = "".join(
+        f'<Failure label="{label}"><T project="{project}">a.T.m</T><E>E</E><M/><S/></Failure>'
+        for project, label, count in (("a", "flaky", 12), ("a", "true", 12), ("b", "flaky", 12))
+        for _ in range(count)
+    )
+    path = tmp_path / "corpus.xml"
+    path.write_text(f"<Corpus>{failures}</Corpus>")
+    for method in ("tree", "bayes", "tfidf"):
+        code, out, err = run(capsys, "evaluate", "--corpus", path, "--method", method)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == "error: project 'b': 0 true failures but k=5\n"
+
+
 def test_evaluate_non_integer_count_is_usage_error(synth_corpus, capsys):
     code, _, err = run(
         capsys, "evaluate", "--corpus", synth_corpus, "--method", "tree", "--k", "two"

@@ -209,6 +209,7 @@ def test_equal_values_share_one_object_across_feed_chunks():
     assert last.label is Label.TRUE and first.frames == last.frames
     assert first.frames[0] is last.frames[0]
     assert first.test is last.test
+    assert first.exception_type is last.exception_type
 
 
 # --- malformed documents -------------------------------------------------------

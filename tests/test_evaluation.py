@@ -279,6 +279,16 @@ def test_cv_insufficient_classes():
         )
 
 
+def test_stratified_cv_names_the_project_lacking_failures():
+    corpus = Corpus()
+    corpus.add_all(_labeled(TestId("a", "a.T", "m"), "E", 12, Label.FLAKY))
+    corpus.add_all(_labeled(TestId("a", "a.T", "m"), "F", 12, Label.TRUE))
+    corpus.add_all(_labeled(TestId("b", "b.T", "m"), "E", 12, Label.FLAKY))
+    with pytest.raises(InsufficientTrue) as info:
+        stratified_cv(corpus, 5, match_trainer())
+    assert str(info.value) == "project 'b': 0 true failures but k=5"
+
+
 def test_cv_deterministic_for_equal_seeds():
     corpus = random_corpus(3, max_records=120)
     a = stratified_cv(corpus, 3, match_trainer(), seed=11, min_flaky=3)

@@ -27,7 +27,7 @@ from flaketriage.evaluation import (
     tree_trainer,
 )
 from flaketriage import matching
-from flaketriage.ingest import normalize
+from flaketriage.ingest import normalize, read_corpus_xml, write_corpus_xml
 from flaketriage.matching import (
     FailureSignature,
     MatchMode,
@@ -323,15 +323,25 @@ def test_triage_matches_the_whole_project_walk(seed):
             )
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_per_test_triage_matches_the_bucket_walk(seed):
-    corpus = random_corpus(seed, max_records=80)
+def assert_per_test_triage_matches_the_bucket_walk(corpus):
     for query in variant_queries(corpus):
         nf = normalize(query)
         for mode in MatchMode:
             assert triage(nf, corpus, mode, MatchScope.PER_TEST) == (
                 oracle_per_test_triage(nf, corpus, mode)
             )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_per_test_triage_matches_the_bucket_walk(seed):
+    assert_per_test_triage_matches_the_bucket_walk(random_corpus(seed, max_records=80))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_per_test_triage_matches_the_bucket_walk_on_read_corpora(seed):
+    # The reader shares equal frames between records, as in a read history.
+    corpus = read_corpus_xml(write_corpus_xml(random_corpus(seed, max_records=80)))
+    assert_per_test_triage_matches_the_bucket_walk(corpus)
 
 
 def test_per_test_triage_normalizes_only_same_exception_records(monkeypatch):
@@ -342,21 +352,78 @@ def test_per_test_triage_normalizes_only_same_exception_records(monkeypatch):
         return normalize(rec, *args)
 
     monkeypatch.setattr(matching, "normalize", counted)
-    skipped = 0
+    skipped = shared = 0
     for seed in range(10):
         corpus = random_corpus(seed, max_records=80)
         for query in corpus.records():
             nf = normalize(query)
             bucketed = [r for label in Label for r in corpus.bucket(query.test, label)]
             same = [r for r in bucketed if r.exception_type == query.exception_type]
+            firsts = {}
+            for r in same:
+                firsts.setdefault(tuple(map(id, r.frames)), r)
             skipped += len(bucketed) - len(same)
+            shared += len(same) - len(firsts)
             calls.clear()
             triage(nf, corpus, MatchMode.FULL, MatchScope.PER_TEST)
-            assert list(map(id, calls)) == list(map(id, same))
+            assert list(map(id, calls)) == list(map(id, firsts.values()))
             calls.clear()
             triage(nf, corpus, MatchMode.EXCEPTION_ONLY, MatchScope.PER_TEST)
             assert calls == []
     assert skipped  # a whole-bucket walk would have normalized these
+    assert shared  # and these were signed once for several records
+
+
+def _per_test(query, *history):
+    corpus = Corpus()
+    corpus.add_all(history)
+    nf = normalize(query)
+    verdict = triage(nf, corpus, MatchMode.FULL, MatchScope.PER_TEST)
+    assert verdict == oracle_per_test_triage(nf, corpus, MatchMode.FULL)
+    return verdict
+
+
+def test_per_test_triage_same_frame_objects_under_both_labels():
+    test = TestId("p", "a.T", "m")
+    frames = (frame("a.Lib", "go", "Lib.java", 2), frame("a.T", "m", "T.java", 5))
+    verdict = _per_test(
+        record(test, frames=frames),
+        record(test, frames=frames, label=Label.FLAKY),
+        record(test, frames=frames, label=Label.TRUE),
+    )
+    assert verdict.basis is TriageBasis.MATCHED_BOTH
+    assert verdict.evidence == ("p/a.T.m/flaky[0]", "p/a.T.m/true[0]")
+
+
+def test_per_test_triage_shared_leading_frames_different_tails():
+    test = TestId("p", "a.T", "m")
+    head = frame("a.Lib", "go", "Lib.java", 2)
+    tails = [frame("a.T", "m", "T.java", line) for line in (5, 6)]
+    verdict = _per_test(
+        record(test, frames=(head, tails[1])),
+        record(test, frames=(head, tails[0]), label=Label.TRUE),
+        record(test, frames=(head, tails[1]), label=Label.FLAKY),
+        record(test, frames=(head,), label=Label.TRUE),
+    )
+    assert verdict.basis is TriageBasis.MATCHED_FLAKY_ONLY
+    assert verdict.evidence == ("p/a.T.m/flaky[0]",)
+
+
+def test_per_test_triage_equal_frames_that_are_distinct_objects():
+    test = TestId("p", "a.T", "m")
+
+    def frames():
+        return (frame("a.Lib", "go", "Lib.java", 2), frame("a.T", "m", "T.java", 5))
+
+    first, second = frames(), frames()
+    assert first == second and first[0] is not second[0]
+    verdict = _per_test(
+        record(test, frames=frames()),
+        record(test, frames=first, label=Label.FLAKY),
+        record(test, frames=second, label=Label.TRUE),
+    )
+    assert verdict.basis is TriageBasis.MATCHED_BOTH
+    assert verdict.evidence == ("p/a.T.m/flaky[0]", "p/a.T.m/true[0]")
 
 
 @pytest.mark.parametrize("seed", range(0, 50, 5))

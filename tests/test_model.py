@@ -1,4 +1,7 @@
 """Domain-type invariants and corpus bookkeeping."""
+import copy
+import dataclasses
+import pickle
 import re
 import sys
 from collections import Counter
@@ -144,3 +147,23 @@ def test_corpus_buckets_always_match_labels(records):
             for label in (Label.FLAKY, Label.TRUE):
                 assert all(r.label is label for r in corpus.bucket(test, label))
                 assert all(r.test == test for r in corpus.bucket(test, label))
+
+
+def test_slotted_values_copy_compare_and_hash_as_values():
+    test = TestId("p", "a.T", "m")
+    frames = (frame("a.Lib", "go", "Lib.java", 2), frame("a.N", "run"))
+    rec = FailureRecord(test, "E", "boom", frames, Label.FLAKY, "x.E")
+    for value, field in ((frames[0], "line"), (frames[1], "raw"), (rec, "label")):
+        assert not hasattr(value, "__dict__")
+        restored = pickle.loads(pickle.dumps(value))
+        assert restored == value and hash(restored) == hash(value)
+        assert copy.copy(value) == value and copy.deepcopy(value) == value
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, None)
+    assert pickle.loads(pickle.dumps(rec)).frames == frames
+    moved = dataclasses.replace(frames[0], line=3)
+    assert moved.line == 3 and moved != frames[0]
+    relabeled = dataclasses.replace(rec, label=Label.TRUE)
+    assert relabeled.label is Label.TRUE and relabeled.frames is rec.frames
+    assert relabeled != rec and {rec, relabeled, dataclasses.replace(relabeled)} == {rec, relabeled}
+    assert FailureRecord(test, "E", "", [frames[0]]).frames == (frames[0],)
