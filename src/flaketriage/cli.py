@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import evaluation
@@ -37,6 +36,8 @@ EXIT_TRUE_FAILURE = 3
 
 _MODES = {"full": MatchMode.FULL, "exception-only": MatchMode.EXCEPTION_ONLY}
 _SCOPES = {"per-test": MatchScope.PER_TEST, "cross-test": MatchScope.CROSS_TEST}
+# The flags only --method match reads; unset, they take these values.
+_MATCH_DEFAULTS = {"scope": "per-test", "mode": "full"}
 # The methods whose training samples --oversample balances.
 _OVERSAMPLED = ("tree", "bayes")
 
@@ -92,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", required=True, choices=("match", "tree", "bayes", "tfidf")
     )
-    p.add_argument("--scope", choices=sorted(_SCOPES), default="per-test")
-    p.add_argument("--mode", choices=sorted(_MODES), default="full")
+    p.add_argument("--scope", choices=sorted(_SCOPES))
+    p.add_argument("--mode", choices=sorted(_MODES))
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("evaluate", help="evaluate a method over a labeled corpus")
@@ -107,14 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oversample", action="store_true")
-    p.add_argument("--scope", choices=sorted(_SCOPES), default="per-test")
-    p.add_argument("--mode", choices=sorted(_MODES), default="full")
+    p.add_argument("--scope", choices=sorted(_SCOPES))
+    p.add_argument("--mode", choices=sorted(_MODES))
     p.add_argument(
         "--report-dir", metavar="DIR", help="also write per-project report files"
-    )
-    p.add_argument(
-        "--jobs", type=_int_at_least(1), default=1,
-        help="projects evaluated in parallel (at least 1)",
     )
     p.set_defaults(func=_cmd_evaluate)
 
@@ -251,17 +248,8 @@ def _project_counts(corpus: Corpus, project: str) -> tuple[int, int, int]:
     return tests, flaky, true
 
 
-def _evaluate_match_project(corpus, project, mode, scope):
-    score = evaluation.score_project(corpus, project, mode, scope)
-    tests, flaky, true = _project_counts(corpus, project)
-    set_flaky, set_true = evaluation.distinct_signature_counts(corpus, project)
-    return project, (score, tests, true, flaky, set_true, set_flaky)
-
-
 def _cmd_evaluate(args) -> int:
     corpus = _load_corpus(args.corpus)
-    mode = _MODES[args.mode]
-    scope = _SCOPES[args.scope]
     projects = corpus.project_names()
     report_dir = Path(args.report_dir) if args.report_dir else None
     if report_dir is not None:
@@ -270,10 +258,16 @@ def _cmd_evaluate(args) -> int:
 
     sections: list[str] = []
     if args.method == "match":
-        def run(project):
-            return _evaluate_match_project(corpus, project, mode, scope)
-
-        results = dict(_map_projects(run, projects, args.jobs))
+        mode = _MODES[args.mode]
+        scope = _SCOPES[args.scope]
+        results = {}
+        for project in projects:
+            score = evaluation.score_project(corpus, project, mode, scope)
+            tests, flaky, true = _project_counts(corpus, project)
+            set_flaky, set_true = evaluation.distinct_signature_counts(
+                corpus, project
+            )
+            results[project] = (score, tests, true, flaky, set_true, set_flaky)
         sections.append(f"== text matching (mode={mode}, scope={scope}) ==")
         sections.append(evaluation.render_matching_table(results))
         if report_dir is not None:
@@ -286,35 +280,23 @@ def _cmd_evaluate(args) -> int:
                 )
     else:
         trainer = _make_trainer(args)
-
-        def run(project):
+        per_project = {}
+        skipped = {}
+        for project in projects:
             flaky = list(corpus.records(project, Label.FLAKY))
             true = list(corpus.records(project, Label.TRUE))
             if len(flaky) < evaluation.MIN_FLAKY_FOR_CV:
-                reason = (
+                skipped[project] = (
                     f"fewer than {evaluation.MIN_FLAKY_FOR_CV} flaky failures "
                     f"({len(flaky)})"
                 )
-                return project, ("skipped", reason)
+                continue
             try:
-                result = evaluation.cross_validate_project(
+                per_project[project] = evaluation.cross_validate_project(
                     flaky, true, args.k, trainer, args.seed
                 )
             except (InsufficientFlaky, InsufficientTrue) as exc:
                 raise type(exc)(f"project {project!r}: {exc}") from None
-            return project, ("done", result)
-
-        outcomes = dict(_map_projects(run, projects, args.jobs))
-        per_project = {
-            name: value
-            for name, (status, value) in outcomes.items()
-            if status == "done"
-        }
-        skipped = {
-            name: value
-            for name, (status, value) in outcomes.items()
-            if status == "skipped"
-        }
         result = evaluation.CorpusCvResult(per_project, skipped)
         balancing = "on" if args.oversample else "off"
         sections.append(
@@ -363,18 +345,6 @@ def _make_trainer(args) -> evaluation.Trainer:
             oversample_threshold=threshold, seed=args.seed
         )
     return evaluation.tfidf_trainer()
-
-
-def _map_projects(run, projects, jobs):
-    """Evaluate projects, optionally in parallel; order of results is fixed.
-
-    Results are buffered and returned in project order regardless of worker
-    scheduling, so parallel runs print byte-identical reports.
-    """
-    if jobs <= 1 or len(projects) <= 1:
-        return [run(project) for project in projects]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run, projects))
 
 
 def _safe_filename(project: str) -> str:
@@ -427,6 +397,15 @@ def main(argv: list[str] | None = None) -> int:
                 f"--oversample applies only to --method tree or bayes, "
                 f"not {args.method}"
             )
+        for flag, default in _MATCH_DEFAULTS.items():
+            if not hasattr(args, flag):
+                continue
+            if getattr(args, flag) is None:
+                setattr(args, flag, default)
+            elif args.method != "match":
+                parser.error(
+                    f"--{flag} applies only to --method match, not {args.method}"
+                )
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -9,6 +9,7 @@ a disjoint range, so a full signature never spans both labels.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -95,13 +96,14 @@ class CountDistribution:
             raise InvalidConfig(f"{name}: expected one of constant/uniform/geometric")
         kind, value = next(iter(data.items()))
         if kind == "constant":
-            return cls("constant", value)
+            return cls("constant", _json_value(value, f"{name}.constant", "number"))
         if kind == "uniform":
             if not isinstance(value, (list, tuple)) or len(value) != 2:
                 raise InvalidConfig(f"{name}: uniform takes [low, high]")
-            return cls("uniform", value[0], value[1])
+            low, high = (_json_value(v, f"{name}.uniform", "number") for v in value)
+            return cls("uniform", low, high)
         if kind == "geometric":
-            return cls("geometric", value)
+            return cls("geometric", _json_value(value, f"{name}.geometric", "number"))
         raise InvalidConfig(f"{name}: unknown distribution kind {kind!r}")
 
 
@@ -204,23 +206,29 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> GeneratorConfig:
+        """The configuration a parsed JSON document describes.
+
+        Raises InvalidConfig for a missing field, a value of the wrong JSON
+        type or shape, and a value out of its bounds.
+        """
+        _json_value(data, "config", "object")
         try:
             pool = tuple(
-                ExceptionSpec(
-                    name=entry["name"],
-                    weight=entry["weight"],
-                    shared_across_labels=entry.get("shared_across_labels", False),
-                    only_label=(
-                        Label(entry["only_label"])
-                        if "only_label" in entry
-                        else None
-                    ),
+                _exception_spec(entry)
+                for entry in _json_value(
+                    data["exception_pool"], "exception_pool", "array"
                 )
-                for entry in data["exception_pool"]
             )
+            depth = _json_value(
+                data.get("frame_depth", [3, 8]), "frame_depth", "array"
+            )
+            if len(depth) != 2:
+                raise InvalidConfig(
+                    f"frame_depth takes [low, high], got {json.dumps(depth)}"
+                )
             config = cls(
-                seed=data["seed"],
-                projects=data["projects"],
+                seed=_json_value(data["seed"], "seed", "integer"),
+                projects=_json_value(data["projects"], "projects", "integer"),
                 tests_per_project=CountDistribution.from_dict(
                     data["tests_per_project"], "tests_per_project"
                 ),
@@ -235,8 +243,14 @@ class GeneratorConfig:
                     data["true_failures_per_test"], "true_failures_per_test"
                 ),
                 exception_pool=pool,
-                volatile_message_tokens=data.get("volatile_message_tokens", True),
-                frame_depth=tuple(data.get("frame_depth", (3, 8))),
+                volatile_message_tokens=_json_value(
+                    data.get("volatile_message_tokens", True),
+                    "volatile_message_tokens",
+                    "boolean",
+                ),
+                frame_depth=tuple(
+                    _json_value(v, "frame_depth", "integer") for v in depth
+                ),
             )
         except KeyError as exc:
             raise InvalidConfig(f"missing config field {exc.args[0]!r}") from exc
@@ -255,7 +269,53 @@ class GeneratorConfig:
 
     @classmethod
     def from_json_file(cls, path: Path | str) -> GeneratorConfig:
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        data = Path(path).read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidConfig(
+                f"{path}: not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}"
+            ) from None
+        return cls.from_json(text)
+
+
+def _exception_spec(entry) -> ExceptionSpec:
+    _json_value(entry, "exception_pool entry", "object")
+    return ExceptionSpec(
+        name=_json_value(entry["name"], "exception_pool name", "string"),
+        weight=_json_value(entry["weight"], "exception_pool weight", "number"),
+        shared_across_labels=_json_value(
+            entry.get("shared_across_labels", False),
+            "exception_pool shared_across_labels",
+            "boolean",
+        ),
+        only_label=Label(entry["only_label"]) if "only_label" in entry else None,
+    )
+
+
+# JSON true and false load as bool, a subclass of int, so "integer" and
+# "number" exclude them; Python's json also loads NaN and Infinity, which no
+# count, weight or probability may be.
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, (list, tuple)),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: (
+        isinstance(v, int) and not isinstance(v, bool)
+        or isinstance(v, float) and math.isfinite(v)
+    ),
+}
+
+
+def _json_value(value, name: str, kind: str):
+    """``value`` if it is a JSON value of ``kind``; InvalidConfig otherwise."""
+    if not _JSON_TYPES[kind](value):
+        raise InvalidConfig(
+            f"{name} must be a JSON {kind}, got {json.dumps(value, default=repr)}"
+        )
+    return value
 
 
 @dataclass

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import settings
@@ -179,3 +180,19 @@ def random_corpus(seed: int, max_records: int = 250) -> Corpus:
                 if len(corpus) >= max_records:
                     return corpus
     return corpus
+
+
+def reverse_project_order(document: bytes) -> bytes:
+    """A flat corpus XML with its projects in reverse document order.
+
+    Each project's failures keep their document order, so every bucket of the
+    corpus read back holds the same records in the same order.
+    """
+    root = ET.fromstring(document)
+    by_project: dict[str, list[ET.Element]] = {}
+    for failure in root:
+        by_project.setdefault(failure.find("T").get("project"), []).append(failure)
+    reordered = ET.Element(root.tag)
+    for failures in reversed(by_project.values()):
+        reordered.extend(failures)
+    return ET.tostring(reordered, encoding="utf-8")

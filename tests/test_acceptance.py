@@ -5,7 +5,6 @@ lines as they complete.
 """
 import dataclasses
 import functools
-import itertools
 import json
 import random
 import time
@@ -42,6 +41,7 @@ from conftest import (
     frame,
     random_corpus,
     record,
+    reverse_project_order,
 )
 
 ALLUXIO_TEST = TestId("alluxio", "tachyon.JournalTest", "TableTest")
@@ -447,7 +447,7 @@ def test_criterion_7_round_trip():
 # --- criterion 8: CLI determinism -----------------------------------------------------
 
 
-@criterion(8, "evaluate and generate are byte-identical across runs, parallel included")
+@criterion(8, "evaluate and generate are byte-identical across runs and project orders")
 def test_criterion_8_determinism(tmp_path, capsys):
     config = {
         "seed": 11,
@@ -476,15 +476,21 @@ def test_criterion_8_determinism(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
     corpus_path = tmp_path / "a.xml"
-    captured = []
-    for method, jobs in itertools.product(("match", "tree"), ("1", "2")):
-        assert main([
-            "evaluate", "--corpus", str(corpus_path), "--method", method,
-            "--k", "3", "--seed", "5", "--jobs", jobs,
-        ]) == 0
-        captured.append((method, capsys.readouterr().out))
-    by_method = {}
-    for method, text in captured:
-        by_method.setdefault(method, []).append(text)
-    for method, texts in by_method.items():
-        assert all(text == texts[0] for text in texts), method
+    reversed_path = tmp_path / "reversed.xml"
+    reversed_path.write_bytes(reverse_project_order(outputs[0]))
+    assert reversed_path.read_bytes() != outputs[0]
+    for method in (
+        ("match",),
+        ("match", "--scope", "cross-test"),
+        ("tree",),
+        ("bayes",),
+        ("tfidf",),
+    ):
+        texts = []
+        for path in (corpus_path, corpus_path, reversed_path):
+            assert main([
+                "evaluate", "--corpus", str(path), "--method", *method,
+                "--k", "3", "--seed", "5",
+            ]) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] == texts[2], method

@@ -1,6 +1,8 @@
 """Command-line behaviour: flags, output, exit codes, determinism."""
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +10,22 @@ from pathlib import Path
 import pytest
 
 import flaketriage
-from flaketriage.cli import EXIT_DATA, EXIT_OK, EXIT_TRUE_FAILURE, EXIT_USAGE, main
+from flaketriage.cli import (
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_TRUE_FAILURE,
+    EXIT_USAGE,
+    build_parser,
+    main,
+)
 from flaketriage.ingest import read_corpus_xml
 
-from conftest import ALLUXIO_MESSAGE_2, alluxio_corpus_xml, alluxio_raw_log
+from conftest import (
+    ALLUXIO_MESSAGE_2,
+    alluxio_corpus_xml,
+    alluxio_raw_log,
+    reverse_project_order,
+)
 
 GENERATOR_CONFIG = {
     "seed": 7,
@@ -269,6 +283,16 @@ def test_invalid_generator_config_is_data_error(workdir, capsys):
     assert "projects" in err
 
 
+def test_generator_config_of_the_wrong_type_is_one_error_line(workdir, capsys):
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps({**GENERATOR_CONFIG, "seed": None}))
+    code, out, err = run(capsys, "generate", "--config", bad, "--out", workdir / "x.xml")
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err == "error: seed must be a JSON integer, got null\n"
+    assert not (workdir / "x.xml").exists()
+
+
 @pytest.fixture
 def synth_corpus(workdir, capsys):
     out_path = workdir / "synth.xml"
@@ -332,7 +356,7 @@ def test_evaluate_refuses_projects_sharing_a_report_file(tmp_path, capsys, metho
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--k", "1"), ("--k", "0"), ("--k", "-1"), ("--jobs", "0"), ("--jobs", "-2")],
+    [("--k", "1"), ("--k", "0"), ("--k", "-1")],
 )
 def test_evaluate_rejects_out_of_range_counts_as_usage_errors(
     synth_corpus, capsys, flag, value
@@ -391,7 +415,7 @@ def test_evaluate_non_integer_count_is_usage_error(synth_corpus, capsys):
 def test_evaluate_smallest_valid_counts_run(synth_corpus, capsys):
     code, out, _ = run(
         capsys, "evaluate", "--corpus", synth_corpus, "--method", "tree",
-        "--k", "2", "--jobs", "1",
+        "--k", "2",
     )
     assert code == EXIT_OK
     assert "k=2" in out
@@ -412,14 +436,70 @@ def test_evaluate_deterministic_output(synth_corpus, capsys):
     assert first == second
 
 
-def test_evaluate_parallel_output_matches_serial(synth_corpus, capsys):
-    for scope in ("per-test", "cross-test"):
-        base = ("evaluate", "--corpus", synth_corpus, "--method", "match",
-                "--scope", scope)
-        code, serial, _ = run(capsys, *base)
-        assert code == EXIT_OK and f"scope={scope.replace('-', '_')}" in serial
-        _, parallel, _ = run(capsys, *base, "--jobs", "3")
-        assert serial == parallel
+@pytest.mark.parametrize(
+    "method",
+    [
+        ("match",),
+        ("match", "--scope", "cross-test"),
+        ("tree",),
+        ("bayes",),
+        ("tfidf",),
+    ],
+    ids=["match", "match-cross-test", "tree", "bayes", "tfidf"],
+)
+def test_evaluate_output_is_independent_of_run_and_project_order(
+    synth_corpus, capsys, method
+):
+    reversed_corpus = synth_corpus.with_name("reversed.xml")
+    reversed_corpus.write_bytes(reverse_project_order(synth_corpus.read_bytes()))
+    assert reversed_corpus.read_bytes() != synth_corpus.read_bytes()
+    outputs = []
+    for corpus in (synth_corpus, synth_corpus, reversed_corpus):
+        code, out, _ = run(capsys, "evaluate", "--corpus", corpus, "--method", *method)
+        assert code == EXIT_OK
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _on_alluxio_corpus(workdir, command, method):
+    """Arguments of a classify or evaluate call on the alluxio corpus."""
+    if command == "classify":
+        argv = ("classify", "--failure", workdir / "failure.log",
+                "--test", "tachyon.JournalTest.TableTest")
+    else:
+        argv = ("evaluate",)
+    return argv + ("--corpus", workdir / "corpus.xml", "--method", method)
+
+
+@pytest.mark.parametrize("command", ["classify", "evaluate"])
+def test_match_flags_default_to_per_test_full(workdir, capsys, command):
+    argv = _on_alluxio_corpus(workdir, command, "match")
+    implicit = run(capsys, *argv)
+    explicit = run(capsys, *argv, "--scope", "per-test", "--mode", "full")
+    assert implicit == explicit
+    assert implicit[0] in (EXIT_OK, EXIT_TRUE_FAILURE)
+
+
+@pytest.mark.parametrize("command", ["classify", "evaluate"])
+@pytest.mark.parametrize("method", ["tree", "bayes", "tfidf"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--scope", "per-test"),
+        ("--scope", "cross-test"),
+        ("--mode", "full"),
+        ("--mode", "exception-only"),
+    ],
+)
+def test_match_only_flags_with_another_method_are_usage_errors(
+    workdir, capsys, command, method, flag, value
+):
+    code, out, err = run(
+        capsys, *_on_alluxio_corpus(workdir, command, method), flag, value
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"{flag} applies only to --method match, not {method}" in err
 
 
 def test_evaluate_match_perfect_rows_on_separable_corpus(workdir, capsys):
@@ -451,3 +531,28 @@ def test_python_dash_m_runs_the_cli_from_a_checkout():
     )
     assert done.returncode == EXIT_OK
     assert done.stdout.startswith("usage: flaketriage ")
+
+
+def test_readme_cli_synopsis_names_every_option():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = {}
+    for line in block.replace("\\\n", " ").splitlines():
+        words = line.split()
+        if words[:1] == ["flaketriage"]:
+            documented[words[1]] = set(re.findall(r"--[a-z][a-z-]*", line))
+    subcommands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    defined = {
+        name: {
+            option
+            for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+        for name, parser in subcommands.choices.items()
+    }
+    assert documented == defined

@@ -203,6 +203,79 @@ def test_config_from_dict_reports_missing_fields():
     assert "missing config field" in str(excinfo.value)
 
 
+def config_json(**overrides) -> bytes:
+    return json.dumps({**config().to_dict(), **overrides}).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "document, fragment",
+    [
+        pytest.param(b"[]", "config must be a JSON object, got []", id="array"),
+        pytest.param(
+            config_json(exception_pool=["x"]),
+            "exception_pool entry must be a JSON object",
+            id="pool-entry-string",
+        ),
+        pytest.param(
+            config_json(projects="3"),
+            'projects must be a JSON integer, got "3"',
+            id="projects-string",
+        ),
+        pytest.param(
+            config_json(exception_pool=[{"name": "E", "weight": "1"}]),
+            "weight must be a JSON number",
+            id="weight-string",
+        ),
+        pytest.param(
+            config_json().replace(b'"weight": 3.0', b'"weight": NaN'),
+            "weight must be a JSON number, got NaN",
+            id="weight-nan",
+        ),
+        pytest.param(
+            config_json(tests_per_project={"constant": "3"}),
+            "tests_per_project.constant must be a JSON number",
+            id="count-string",
+        ),
+        pytest.param(
+            config_json(frame_depth=5),
+            "frame_depth must be a JSON array, got 5",
+            id="frame-depth-number",
+        ),
+        pytest.param(
+            config_json(frame_depth=[1, 2, 3]),
+            "frame_depth takes [low, high]",
+            id="frame-depth-three",
+        ),
+        pytest.param(
+            config_json(seed=None),
+            "seed must be a JSON integer, got null",
+            id="seed-null",
+        ),
+        pytest.param(
+            config_json(seed=True),
+            "seed must be a JSON integer, got true",
+            id="seed-true",
+        ),
+        pytest.param(
+            config_json(volatile_message_tokens="no"),
+            "volatile_message_tokens must be a JSON boolean",
+            id="volatile-string",
+        ),
+        pytest.param(
+            b'{"seed": 7, "note": "caf\xe9"}',
+            "not UTF-8: byte 0xe9 at offset 24",
+            id="latin-1",
+        ),
+    ],
+)
+def test_malformed_config_files_raise_invalid_config(tmp_path, document, fragment):
+    path = tmp_path / "generator.json"
+    path.write_bytes(document)
+    with pytest.raises(InvalidConfig) as excinfo:
+        GeneratorConfig.from_json_file(path)
+    assert fragment in str(excinfo.value)
+
+
 def test_distribution_samples_respect_support():
     import random
 
