@@ -29,6 +29,7 @@ _BOOLEAN_FEATURES = (
     "junit_in_trace",
     "cut_in_trace",
 )
+_FEATURES = ("exception_type",) + _BOOLEAN_FEATURES
 
 Sample = tuple["FeatureVector", Label]
 
@@ -160,70 +161,70 @@ def _gini(n_flaky: int, n_true: int) -> float:
     return 1.0 - pf * pf - pt * pt
 
 
-def _leaf(samples: Sequence[Sample]) -> _Leaf:
-    n_flaky = sum(1 for _, y in samples if y is Label.FLAKY)
-    n_true = len(samples) - n_flaky
-    label = Label.FLAKY if n_flaky > n_true else Label.TRUE
-    return _Leaf(label, n_flaky, n_true)
-
-
 def _matches_split(fv: FeatureVector, feature: str, category: str | None) -> bool:
     if category is not None:
         return fv.exception_type == category
     return bool(getattr(fv, feature))
 
 
-def _candidates(samples: Sequence[Sample]) -> list[tuple[str, str | None]]:
-    out: list[tuple[str, str | None]] = [
-        ("exception_type", value)
-        for value in sorted({fv.exception_type for fv, _ in samples})
+def _groups(data: Iterable[Sample]) -> list[tuple[tuple, int, int]]:
+    """Per distinct feature vector: its values in _FEATURES order, and its
+    numbers of flaky and true samples."""
+    counts: dict[FeatureVector, list[int]] = {}
+    for fv, label in data:
+        counts.setdefault(fv, [0, 0])[label is not Label.FLAKY] += 1
+    return [
+        (tuple(getattr(fv, f) for f in _FEATURES), *pair)
+        for fv, pair in counts.items()
     ]
-    out.extend((name, None) for name in _BOOLEAN_FEATURES)
-    return out
 
 
 def _grow(
-    samples: list[Sample], depth: int, max_depth: int | None, min_leaf: int
+    groups: list[tuple[tuple, int, int]], depth: int, max_depth: int | None, min_leaf: int
 ) -> _Split | _Leaf:
-    leaf = _leaf(samples)
-    if leaf.n_flaky == 0 or leaf.n_true == 0:
+    n_flaky = sum(g[1] for g in groups)
+    n_true = sum(g[2] for g in groups)
+    leaf = _Leaf(Label.FLAKY if n_flaky > n_true else Label.TRUE, n_flaky, n_true)
+    if n_flaky == 0 or n_true == 0:
         return leaf
     if max_depth is not None and depth >= max_depth:
         return leaf
 
-    parent = _gini(leaf.n_flaky, leaf.n_true)
-    n = len(samples)
-    best: tuple[str, str | None, list[Sample], list[Sample]] | None = None
+    parent = _gini(n_flaky, n_true)
+    n = n_flaky + n_true
+    # A candidate sends the groups whose value at `position` equals `value`
+    # to the match branch: exception values in lexicographic order first,
+    # then the boolean features in field order. Strict > keeps the earliest
+    # candidate on ties; `min_leaf` counts samples, not groups.
+    candidates = [(0, value) for value in sorted({key[0] for key, _, _ in groups})]
+    candidates += [(position, True) for position in range(1, len(_FEATURES))]
+    best: tuple[int, object] | None = None
     best_gain = -1.0
-    for feature, category in _candidates(samples):
-        match = [s for s in samples if _matches_split(s[0], feature, category)]
-        if len(match) < min_leaf or n - len(match) < min_leaf:
+    for position, value in candidates:
+        m_flaky = sum(f for key, f, _ in groups if key[position] == value)
+        m_true = sum(t for key, _, t in groups if key[position] == value)
+        m = m_flaky + m_true
+        if m < min_leaf or n - m < min_leaf:
             continue
-        other = [s for s in samples if not _matches_split(s[0], feature, category)]
         weighted = (
-            len(match) * _gini(*_label_counts(match))
-            + len(other) * _gini(*_label_counts(other))
+            m * _gini(m_flaky, m_true)
+            + (n - m) * _gini(n_flaky - m_flaky, n_true - m_true)
         ) / n
         gain = parent - weighted
-        # Strict > keeps the earliest candidate on ties: exception values in
-        # lexicographic order first, then the boolean features in field order.
         if gain > best_gain:
             best_gain = gain
-            best = (feature, category, match, other)
+            best = (position, value)
     if best is None:
         return leaf  # all vectors identical (or min_leaf forbids any split)
-    feature, category, match, other = best
+    position, value = best
+    match = [g for g in groups if g[0][position] == value]
+    other = [g for g in groups if g[0][position] != value]
     return _Split(
-        feature,
-        category,
+        _FEATURES[position],
+        value if position == 0 else None,
         _grow(match, depth + 1, max_depth, min_leaf),
         _grow(other, depth + 1, max_depth, min_leaf),
     )
-
-
-def _label_counts(samples: Sequence[Sample]) -> tuple[int, int]:
-    n_flaky = sum(1 for _, y in samples if y is Label.FLAKY)
-    return n_flaky, len(samples) - n_flaky
 
 
 def _depth(node: _Split | _Leaf) -> int:
@@ -267,12 +268,13 @@ def train_decision_tree(
         raise EmptyDataset("cannot train a decision tree on no samples")
     if min_leaf < 1:
         raise ValueError("min_leaf must be >= 1")
-    root = _grow(list(data), 0, max_depth, min_leaf)
-    n_flaky, n_true = _label_counts(data)
+    groups = _groups(data)
+    root = _grow(groups, 0, max_depth, min_leaf)
+    n_flaky = sum(g[1] for g in groups)
     summary = {
         "n_samples": len(data),
         "n_flaky": n_flaky,
-        "n_true": n_true,
+        "n_true": len(data) - n_flaky,
         "depth": _depth(root),
     }
     return DecisionTreeModel(root, summary)
@@ -285,7 +287,8 @@ class NaiveBayesModel:
     """Categorical naive Bayes with additive smoothing over the six features.
 
     Likelihoods use the categories observed in training; a value never seen
-    for a feature contributes the smoothed zero-count likelihood.
+    for a feature contributes the smoothed zero-count likelihood. The log
+    prior and log likelihoods are tabled once, per label with samples.
     """
 
     kind = "naive_bayes"
@@ -297,11 +300,29 @@ class NaiveBayesModel:
         categories: dict[str, tuple[str, ...]],
         smoothing: float,
     ) -> None:
+        if not smoothing > 0:
+            raise ValueError("smoothing must be positive")
+        total = sum(class_counts.values())
+        if not total > 0 or min(class_counts.values()) < 0:
+            raise ValueError(f"class counts must hold samples, got {class_counts}")
         self._class_counts = class_counts
         self._value_counts = value_counts
         self._categories = categories
         self._smoothing = smoothing
-        total = sum(class_counts.values())
+        # Per label: its log prior, and per feature the log likelihood of
+        # each value seen under the label and that of any other value.
+        self._tables: dict[Label, tuple[float, list]] = {}
+        for label, n_label in class_counts.items():
+            if n_label:
+                likelihoods = []
+                for feature in _FEATURES:
+                    denominator = n_label + smoothing * len(categories[feature])
+                    seen = value_counts[feature][label].items()
+                    likelihoods.append((feature, {
+                        value: math.log((count + smoothing) / denominator)
+                        for value, count in seen
+                    }, math.log(smoothing / denominator)))
+                self._tables[label] = (math.log(n_label / total), likelihoods)
         self.training_summary = {
             "n_samples": total,
             "n_flaky": class_counts.get(Label.FLAKY, 0),
@@ -310,22 +331,14 @@ class NaiveBayesModel:
         }
 
     def _score(self, label: Label, fv: FeatureVector) -> float:
-        n_label = self._class_counts[label]
-        total = sum(self._class_counts.values())
-        score = math.log(n_label / total)
-        for feature in ("exception_type",) + _BOOLEAN_FEATURES:
-            value = str(getattr(fv, feature))
-            count = self._value_counts[feature][label].get(value, 0)
-            k = len(self._categories[feature])
-            score += math.log(
-                (count + self._smoothing) / (n_label + self._smoothing * k)
-            )
+        score, likelihoods = self._tables[label]
+        for feature, seen, unseen in likelihoods:
+            score += seen.get(str(getattr(fv, feature)), unseen)
         return score
 
     def predict(self, fv: FeatureVector) -> Label:
-        present = [label for label, n in self._class_counts.items() if n > 0]
-        if len(present) == 1:
-            return present[0]
+        if len(self._tables) == 1:
+            return next(iter(self._tables))
         flaky = self._score(Label.FLAKY, fv)
         true = self._score(Label.TRUE, fv)
         return Label.FLAKY if flaky > true else Label.TRUE
@@ -336,25 +349,20 @@ def train_naive_bayes(
 ) -> NaiveBayesModel:
     if not data:
         raise EmptyDataset("cannot train naive Bayes on no samples")
-    if smoothing <= 0:
-        raise ValueError("smoothing must be positive")
     class_counts = {Label.FLAKY: 0, Label.TRUE: 0}
     value_counts: dict[str, dict[Label, dict[str, int]]] = {
-        feature: {Label.FLAKY: {}, Label.TRUE: {}}
-        for feature in ("exception_type",) + _BOOLEAN_FEATURES
+        feature: {Label.FLAKY: {}, Label.TRUE: {}} for feature in _FEATURES
     }
-    observed: dict[str, set[str]] = {
-        feature: set() for feature in ("exception_type",) + _BOOLEAN_FEATURES
-    }
-    for fv, label in data:
-        class_counts[label] += 1
-        for feature in ("exception_type",) + _BOOLEAN_FEATURES:
-            value = str(getattr(fv, feature))
-            counts = value_counts[feature][label]
-            counts[value] = counts.get(value, 0) + 1
-            observed[feature].add(value)
+    for key, *pair in _groups(data):
+        for label, n in zip((Label.FLAKY, Label.TRUE), pair):
+            if n:
+                class_counts[label] += n
+                for feature, value in zip(_FEATURES, map(str, key)):
+                    counts = value_counts[feature][label]
+                    counts[value] = counts.get(value, 0) + n
     categories = {
-        feature: tuple(sorted(values)) for feature, values in observed.items()
+        feature: tuple(sorted({v for counts in per_label.values() for v in counts}))
+        for feature, per_label in value_counts.items()
     }
     return NaiveBayesModel(class_counts, value_counts, categories, smoothing)
 
@@ -420,9 +428,17 @@ def _node_from_dict(data: dict) -> _Split | _Leaf:
         leaf = data["leaf"]
         return _Leaf(Label(leaf["label"]), leaf["n_flaky"], leaf["n_true"])
     split = data["split"]
+    feature, category = split["feature"], split["category"]
+    if not (
+        feature == "exception_type" and isinstance(category, str)
+        or feature in _BOOLEAN_FEATURES and category is None
+    ):
+        raise ModelFormatError(
+            f"no split on feature {feature!r} with category {category!r}"
+        )
     return _Split(
-        split["feature"],
-        split["category"],
+        feature,
+        category,
         _node_from_dict(split["match"]),
         _node_from_dict(split["other"]),
     )

@@ -279,7 +279,6 @@ def _cmd_evaluate(args) -> int:
                     [evaluation.matching_record_json(project, score)],
                 )
     else:
-        trainer = _make_trainer(args)
         per_project = {}
         skipped = {}
         for project in projects:
@@ -291,6 +290,7 @@ def _cmd_evaluate(args) -> int:
                     f"({len(flaky)})"
                 )
                 continue
+            trainer = _make_trainer(args, evaluation.project_index(corpus, project))
             try:
                 per_project[project] = evaluation.cross_validate_project(
                     flaky, true, args.k, trainer, args.seed
@@ -334,15 +334,15 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _make_trainer(args) -> evaluation.Trainer:
+def _make_trainer(args, index: evaluation.ProjectIndex) -> evaluation.Trainer:
     threshold = evaluation.OVERSAMPLE_THRESHOLD if args.oversample else None
     if args.method == "tree":
         return evaluation.tree_trainer(
-            oversample_threshold=threshold, seed=args.seed
+            oversample_threshold=threshold, seed=args.seed, index=index
         )
     if args.method == "bayes":
         return evaluation.bayes_trainer(
-            oversample_threshold=threshold, seed=args.seed
+            oversample_threshold=threshold, seed=args.seed, index=index
         )
     return evaluation.tfidf_trainer()
 

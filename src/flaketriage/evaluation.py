@@ -395,6 +395,7 @@ def feature_trainer(
     fit: Callable[[list[Sample]], TrainedModel],
     oversample_threshold: float | None = None,
     seed: int = 0,
+    index: ProjectIndex | None = None,
 ) -> Trainer:
     """Strategy of the six-feature classifiers: ``fit`` a model to the
     training records' features, optionally oversampled, and predict with it.
@@ -403,11 +404,14 @@ def feature_trainer(
     prefixes, and the prefixes follow from the known tests; so the trainer
     extracts a record's features at most once per set of known tests it is
     trained on. In k-fold that is once per record whenever every fold's
-    training records span all tests.
+    training records span all tests. A record of ``index`` is not
+    normalized again: its normalized failure is read from the index.
     """
-    # Per set of known tests: its context, and the features extracted under
-    # it by record identity (hashing a record by value costs more than the
-    # lookup saves). Each entry keeps its record alive, so ids stay unique.
+    # By record identity (hashing a record by value costs more than the
+    # lookup saves): the index's normalized failures, and per set of known
+    # tests its context and the features extracted under it. Each entry
+    # keeps its record alive, so ids stay unique.
+    normalized = {} if index is None else {id(nf.base): nf for nf in index.normalized}
     contexts: dict[
         frozenset[TestId],
         tuple[FeatureContext, dict[int, tuple[FailureRecord, FeatureVector]]],
@@ -423,8 +427,8 @@ def feature_trainer(
         def features(record: FailureRecord) -> FeatureVector:
             entry = extracted.get(id(record))
             if entry is None:
-                entry = (record, context.features(normalize(record)))
-                extracted[id(record)] = entry
+                nf = normalized.get(id(record)) or normalize(record)
+                entry = extracted[id(record)] = (record, context.features(nf))
             return entry[1]
 
         data = [(features(r), r.label) for r in records]
@@ -441,11 +445,13 @@ def tree_trainer(
     min_leaf: int = 1,
     oversample_threshold: float | None = None,
     seed: int = 0,
+    index: ProjectIndex | None = None,
 ) -> Trainer:
     return feature_trainer(
         lambda data: train_decision_tree(data, max_depth=max_depth, min_leaf=min_leaf),
         oversample_threshold,
         seed,
+        index,
     )
 
 
@@ -453,9 +459,10 @@ def bayes_trainer(
     smoothing: float = 1.0,
     oversample_threshold: float | None = None,
     seed: int = 0,
+    index: ProjectIndex | None = None,
 ) -> Trainer:
     return feature_trainer(
-        lambda data: train_naive_bayes(data, smoothing), oversample_threshold, seed
+        lambda data: train_naive_bayes(data, smoothing), oversample_threshold, seed, index
     )
 
 

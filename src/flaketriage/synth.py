@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import InvalidConfig
@@ -163,6 +163,17 @@ class GeneratorConfig:
                     f"exception_pool entry {spec.name!r} is shared and cannot "
                     "also be restricted to one label"
                 )
+        for label in Label:
+            # random.choices needs the total of the weights as a finite float.
+            try:
+                total = float(sum(s.weight for s in self.exception_pool if s.eligible(label)))
+            except OverflowError:
+                total = math.inf
+            if not math.isfinite(total):
+                raise InvalidConfig(
+                    f"exception_pool weights eligible for {label} failures "
+                    "must sum to a finite float"
+                )
         low, high = self.frame_depth
         if low < 0 or low > high:
             raise InvalidConfig(
@@ -208,10 +219,11 @@ class GeneratorConfig:
     def from_dict(cls, data: dict) -> GeneratorConfig:
         """The configuration a parsed JSON document describes.
 
-        Raises InvalidConfig for a missing field, a value of the wrong JSON
-        type or shape, and a value out of its bounds.
+        Raises InvalidConfig for a missing or unknown field, a value of the
+        wrong JSON type or shape, and a value out of its bounds.
         """
         _json_value(data, "config", "object")
+        _known_keys(data, cls, "config")
         try:
             pool = tuple(
                 _exception_spec(entry)
@@ -281,6 +293,7 @@ class GeneratorConfig:
 
 def _exception_spec(entry) -> ExceptionSpec:
     _json_value(entry, "exception_pool entry", "object")
+    _known_keys(entry, ExceptionSpec, "exception_pool entry")
     return ExceptionSpec(
         name=_json_value(entry["name"], "exception_pool name", "string"),
         weight=_json_value(entry["weight"], "exception_pool weight", "number"),
@@ -307,6 +320,13 @@ _JSON_TYPES = {
         or isinstance(v, float) and math.isfinite(v)
     ),
 }
+
+
+def _known_keys(data: dict, cls, name: str) -> None:
+    """InvalidConfig naming the keys of ``data`` that are no field of ``cls``."""
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise InvalidConfig(f"{name} has unknown keys: {', '.join(map(repr, unknown))}")
 
 
 def _json_value(value, name: str, kind: str):

@@ -1,5 +1,6 @@
 """Feature extraction, decision tree, naive Bayes, and oversampling."""
 import itertools
+import json
 import math
 import random
 
@@ -375,3 +376,60 @@ def test_load_model_raises_only_model_format_errors(text):
     with pytest.raises(ModelFormatError) as info:
         load_model(text)
     assert isinstance(info.value, FlakeTriageError)
+
+
+def _mutated(kind, change):
+    data = _random_consistent_dataset(random.Random(11))
+    model = train_decision_tree(data) if kind == "tree" else train_naive_bayes(data)
+    document = json.loads(save_model(model))
+    change(document)
+    return json.dumps(document)
+
+
+@pytest.mark.parametrize(
+    "kind, change",
+    [
+        pytest.param(
+            "bayes", lambda d: d["value_counts"].pop("cut_in_trace"),
+            id="bayes-feature-missing",
+        ),
+        pytest.param(
+            "bayes", lambda d: d["categories"].pop("exception_type"),
+            id="bayes-categories-missing",
+        ),
+        pytest.param(
+            "bayes", lambda d: d.update(class_counts={"flaky": 0, "true": 0}),
+            id="bayes-no-samples",
+        ),
+        pytest.param(
+            "bayes", lambda d: d.update(class_counts={"flaky": 5, "true": -5}),
+            id="bayes-negative-count",
+        ),
+        pytest.param("bayes", lambda d: d.update(smoothing=0), id="bayes-smoothing-0"),
+        pytest.param(
+            "bayes", lambda d: d.update(smoothing="1"), id="bayes-smoothing-string"
+        ),
+        pytest.param(
+            "tree", lambda d: d["tree"]["split"].update(feature="colour"),
+            id="tree-unknown-feature",
+        ),
+        pytest.param(
+            "tree",
+            lambda d: d["tree"]["split"].update(feature="junit_in_trace", category="E1"),
+            id="tree-boolean-with-category",
+        ),
+        pytest.param(
+            "tree",
+            lambda d: d["tree"]["split"].update(feature="exception_type", category=None),
+            id="tree-exception-without-category",
+        ),
+    ],
+)
+def test_load_model_rejects_incomplete_documents(kind, change):
+    with pytest.raises(ModelFormatError):
+        load_model(_mutated(kind, change))
+
+
+def test_load_model_keeps_a_one_label_bayes_model():
+    text = _mutated("bayes", lambda d: d.update(class_counts={"flaky": 3, "true": 0}))
+    assert load_model(text).predict(fv("anything")) is Label.FLAKY

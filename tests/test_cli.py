@@ -293,6 +293,30 @@ def test_generator_config_of_the_wrong_type_is_one_error_line(workdir, capsys):
     assert not (workdir / "x.xml").exists()
 
 
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        pytest.param(
+            json.dumps({**GENERATOR_CONFIG, "frame_dept": [50, 60]}),
+            "error: config has unknown keys: 'frame_dept'\n",
+            id="unknown-key",
+        ),
+        pytest.param(
+            json.dumps(GENERATOR_CONFIG).replace('"weight": 3.0', '"weight": ' + "9" * 400),
+            "error: exception_pool weights eligible for flaky failures "
+            "must sum to a finite float\n",
+            id="weight-too-large",
+        ),
+    ],
+)
+def test_generator_config_errors_are_one_error_line(workdir, capsys, document, message):
+    bad = workdir / "bad.json"
+    bad.write_text(document)
+    code, out, err = run(capsys, "generate", "--config", bad, "--out", workdir / "x.xml")
+    assert (code, out, err) == (EXIT_DATA, "", message)
+    assert not (workdir / "x.xml").exists()
+
+
 @pytest.fixture
 def synth_corpus(workdir, capsys):
     out_path = workdir / "synth.xml"

@@ -3,21 +3,27 @@
 Feature extraction, the cross-test frame filter and triage each once
 recomputed everything per record: a sorted scan over every known test name,
 a walk over the whole project, a normalization of every record of the
-query's test. The oracles below are those implementations,
-kept verbatim; the indexed paths must agree with them exactly.
+query's test. The tree and Bayes fits walked every sample. The oracles below
+are those implementations, kept verbatim; the indexed paths must agree with
+them exactly.
 """
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
+import random
 
 import pytest
 
 from conftest import frame, random_corpus, record
+from flaketriage import classifier, cli, evaluation, ingest
 from flaketriage.classifier import (
     FeatureVector,
     default_cut_prefixes,
     extract_features,
+    oversample,
+    save_model,
     train_decision_tree,
     train_naive_bayes,
 )
@@ -40,6 +46,7 @@ from flaketriage.matching import (
     triage,
 )
 from flaketriage.model import Corpus, KnownTests, Label, TestId, record_id
+from flaketriage.synth import GeneratorConfig, generate
 
 SEEDS = range(50)
 # random_corpus draws no framework frames; let its Lib1 classes stand in.
@@ -445,3 +452,244 @@ def test_cv_with_feature_reuse_matches_per_fold_extraction(seed, trainer, fit):
         assert got == cross_validate_project(flaky, true, 3, oracle_trainer(fit), seed)
         compared += 1
     assert compared
+
+
+# --- classifier fit on distinct feature vectors ------------------------------
+# The fits on distinct feature vectors must give byte-equal models, equal
+# predictions and equal Bayes scores.
+
+_BOOLEAN_FEATURES = (
+    "test_name_in_trace",
+    "test_class_in_trace",
+    "other_tests_in_trace",
+    "junit_in_trace",
+    "cut_in_trace",
+)
+
+
+def _leaf(samples):
+    n_flaky = sum(1 for _, y in samples if y is Label.FLAKY)
+    n_true = len(samples) - n_flaky
+    label = Label.FLAKY if n_flaky > n_true else Label.TRUE
+    return classifier._Leaf(label, n_flaky, n_true)
+
+
+def _matches_split(fv, feature, category):
+    if category is not None:
+        return fv.exception_type == category
+    return bool(getattr(fv, feature))
+
+
+def _candidates(samples):
+    out = [
+        ("exception_type", value)
+        for value in sorted({fv.exception_type for fv, _ in samples})
+    ]
+    out.extend((name, None) for name in _BOOLEAN_FEATURES)
+    return out
+
+
+def _grow(samples, depth, max_depth, min_leaf):
+    leaf = _leaf(samples)
+    if leaf.n_flaky == 0 or leaf.n_true == 0:
+        return leaf
+    if max_depth is not None and depth >= max_depth:
+        return leaf
+
+    parent = classifier._gini(leaf.n_flaky, leaf.n_true)
+    n = len(samples)
+    best = None
+    best_gain = -1.0
+    for feature, category in _candidates(samples):
+        match = [s for s in samples if _matches_split(s[0], feature, category)]
+        if len(match) < min_leaf or n - len(match) < min_leaf:
+            continue
+        other = [s for s in samples if not _matches_split(s[0], feature, category)]
+        weighted = (
+            len(match) * classifier._gini(*_label_counts(match))
+            + len(other) * classifier._gini(*_label_counts(other))
+        ) / n
+        gain = parent - weighted
+        # Strict > keeps the earliest candidate on ties: exception values in
+        # lexicographic order first, then the boolean features in field order.
+        if gain > best_gain:
+            best_gain = gain
+            best = (feature, category, match, other)
+    if best is None:
+        return leaf  # all vectors identical (or min_leaf forbids any split)
+    feature, category, match, other = best
+    return classifier._Split(
+        feature,
+        category,
+        _grow(match, depth + 1, max_depth, min_leaf),
+        _grow(other, depth + 1, max_depth, min_leaf),
+    )
+
+
+def _label_counts(samples):
+    n_flaky = sum(1 for _, y in samples if y is Label.FLAKY)
+    return n_flaky, len(samples) - n_flaky
+
+
+def oracle_train_decision_tree(data, max_depth=None, min_leaf=1):
+    root = _grow(list(data), 0, max_depth, min_leaf)
+    n_flaky, n_true = _label_counts(data)
+    summary = {
+        "n_samples": len(data),
+        "n_flaky": n_flaky,
+        "n_true": n_true,
+        "depth": classifier._depth(root),
+    }
+    return classifier.DecisionTreeModel(root, summary)
+
+
+def oracle_bayes_counts(data):
+    class_counts = {Label.FLAKY: 0, Label.TRUE: 0}
+    value_counts = {
+        feature: {Label.FLAKY: {}, Label.TRUE: {}}
+        for feature in ("exception_type",) + _BOOLEAN_FEATURES
+    }
+    observed = {
+        feature: set() for feature in ("exception_type",) + _BOOLEAN_FEATURES
+    }
+    for fv, label in data:
+        class_counts[label] += 1
+        for feature in ("exception_type",) + _BOOLEAN_FEATURES:
+            value = str(getattr(fv, feature))
+            counts = value_counts[feature][label]
+            counts[value] = counts.get(value, 0) + 1
+            observed[feature].add(value)
+    categories = {
+        feature: tuple(sorted(values)) for feature, values in observed.items()
+    }
+    return class_counts, value_counts, categories
+
+
+def oracle_bayes_score(class_counts, value_counts, categories, smoothing, label, fv):
+    n_label = class_counts[label]
+    total = sum(class_counts.values())
+    score = math.log(n_label / total)
+    for feature in ("exception_type",) + _BOOLEAN_FEATURES:
+        value = str(getattr(fv, feature))
+        count = value_counts[feature][label].get(value, 0)
+        k = len(categories[feature])
+        score += math.log(
+            (count + smoothing) / (n_label + smoothing * k)
+        )
+    return score
+
+
+def random_samples(seed):
+    """A seeded sample set: 1-6 exception types, 1-400 samples, labels that
+    lean on the features with noise, and booleans that sometimes copy one
+    another so that distinct candidates tie."""
+    rng = random.Random(seed)
+    exceptions = [f"E{i}" for i in rng.sample(range(9), rng.randint(1, 6))]
+    weights = [rng.random() for _ in exceptions]
+    size = rng.choice((1, 2, rng.randint(3, 60), rng.randint(60, 400), rng.randint(300, 400)))
+    copied = rng.random() < 0.3
+    lean = {e: rng.random() for e in exceptions}
+    data = []
+    for _ in range(size):
+        flags = [rng.random() < 0.4 for _ in _BOOLEAN_FEATURES]
+        if copied:
+            flags[3] = flags[1]
+        exception = rng.choices(exceptions, weights)[0]
+        p = lean[exception] + (0.3 if flags[0] else 0.0) - (0.2 if flags[4] else 0.0)
+        label = Label.FLAKY if rng.random() < p else Label.TRUE
+        data.append((FeatureVector(exception, *flags), label))
+    probes = [fv for fv, _ in data] + [
+        FeatureVector(rng.choice(exceptions + ["Unseen"]), *(rng.random() < 0.5 for _ in range(5)))
+        for _ in range(20)
+    ]
+    return data, probes
+
+
+FIT_SEEDS = range(72)
+DEPTHS = (None, 0, 1, 3)
+MIN_LEAFS = (1, 2, 50)
+
+
+@pytest.mark.parametrize("seed", FIT_SEEDS)
+def test_fits_on_distinct_vectors_match_the_per_sample_oracles(seed):
+    data, probes = random_samples(seed)
+    # Cycle through every depth, min_leaf and oversampling combination.
+    max_depth = DEPTHS[seed % 4]
+    min_leaf = MIN_LEAFS[seed // 4 % 3]
+    if seed // 12 % 2:
+        data = oversample(data, 0.5, seed)
+
+    tree = train_decision_tree(data, max_depth=max_depth, min_leaf=min_leaf)
+    want = oracle_train_decision_tree(data, max_depth=max_depth, min_leaf=min_leaf)
+    assert save_model(tree) == save_model(want)
+    assert [tree.predict(fv) for fv in probes] == [want.predict(fv) for fv in probes]
+
+    smoothing = (1.0, 0.5, 2)[seed % 3]
+    bayes = train_naive_bayes(data, smoothing)
+    counts = oracle_bayes_counts(data)
+    want = classifier.NaiveBayesModel(*counts, smoothing)
+    assert save_model(bayes) == save_model(want)
+    class_counts = counts[0]
+    for fv in probes:
+        if all(class_counts.values()):
+            for label in Label:
+                assert bayes._score(label, fv) == oracle_bayes_score(
+                    *counts, smoothing, label, fv
+                )
+        present = [label for label, n in class_counts.items() if n]
+        if len(present) == 1:
+            assert bayes.predict(fv) is present[0]
+        else:
+            assert bayes.predict(fv) is (
+                Label.FLAKY
+                if oracle_bayes_score(*counts, smoothing, Label.FLAKY, fv)
+                > oracle_bayes_score(*counts, smoothing, Label.TRUE, fv)
+                else Label.TRUE
+            )
+
+
+def test_fit_sample_sets_reach_the_cases_that_matter():
+    splits = repeats = 0
+    sizes = set()
+    for seed in FIT_SEEDS:
+        data, _ = random_samples(seed)
+        splits += '"split"' in save_model(train_decision_tree(data))
+        repeats += len(set(data)) < len(data)  # groups hold several samples
+        sizes.add(len(data))
+    assert splits >= len(FIT_SEEDS) // 2
+    assert repeats >= len(FIT_SEEDS) // 2
+    assert min(sizes) == 1 and max(sizes) >= 300
+
+
+@pytest.mark.parametrize("method", ["tree", "bayes"])
+def test_evaluate_normalizes_each_record_once(tmp_path, monkeypatch, capsys, method):
+    config = GeneratorConfig.from_dict({
+        "seed": 3,
+        "projects": 2,
+        "tests_per_project": {"constant": 4},
+        "flaky_signatures_per_test": {"uniform": [1, 3]},
+        "flaky_occurrences_per_signature": {"geometric": 0.4},
+        "true_failures_per_test": {"uniform": [2, 6]},
+        "exception_pool": [
+            {"name": "UnknownHostException", "weight": 3},
+            {"name": "AssertionError", "weight": 2, "shared_across_labels": True},
+            {"name": "NullPointerException", "weight": 2, "only_label": "true"},
+        ],
+    })
+    path = tmp_path / "corpus.xml"
+    path.write_bytes(write_corpus_xml(generate(config)))
+    n_records = len(read_corpus_xml(path.read_bytes()))
+
+    calls = []
+
+    def counted(rec, *args):
+        calls.append(rec)
+        return normalize(rec, *args)
+
+    for module in (ingest, matching, evaluation, cli):
+        monkeypatch.setattr(module, "normalize", counted)
+    assert cli.main(["evaluate", "--corpus", str(path), "--method", method]) == 0
+    out = capsys.readouterr().out
+    assert "skipped" not in out and "proj01" in out  # both projects ran CV
+    assert len(calls) == n_records
+    assert len(set(map(id, calls))) == n_records

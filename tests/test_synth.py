@@ -285,3 +285,59 @@ def test_distribution_samples_respect_support():
     assert all(1 <= uniform.sample(rng) <= 4 for _ in range(50))
     geometric = CountDistribution.geometric(0.5)
     assert all(geometric.sample(rng) >= 1 for _ in range(50))
+
+
+@pytest.mark.parametrize(
+    "document, fragment",
+    [
+        pytest.param(
+            config_json(frame_dept=[50, 60]),
+            "config has unknown keys: 'frame_dept'",
+            id="top-level",
+        ),
+        pytest.param(
+            config_json(exception_pool=[{"name": "E", "weight": 1, "wieght": 2}]),
+            "exception_pool entry has unknown keys: 'wieght'",
+            id="pool-entry",
+        ),
+    ],
+)
+def test_unknown_config_keys_raise_invalid_config(document, fragment):
+    with pytest.raises(InvalidConfig) as excinfo:
+        GeneratorConfig.from_json(document.decode("utf-8"))
+    assert fragment in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        pytest.param(b"1e308, 1e308", id="floats-overflow"),
+        pytest.param(b"1" + b"0" * 400 + b", 1", id="integer-too-large"),
+        pytest.param(b"1" + b"0" * 400 + b", 1.5", id="integer-plus-float"),
+    ],
+)
+def test_weights_without_a_finite_total_raise_invalid_config(weights):
+    first, second = weights.split(b", ")
+    document = config_json(
+        exception_pool=[
+            {"name": "A", "weight": 1.0, "shared_across_labels": True},
+            {"name": "B", "weight": 2.0},
+            {"name": "C", "weight": 3.0},
+        ]
+    ).replace(b'"weight": 2.0', b'"weight": ' + first).replace(
+        b'"weight": 3.0', b'"weight": ' + second
+    )
+    with pytest.raises(InvalidConfig) as excinfo:
+        GeneratorConfig.from_json(document.decode("utf-8"))
+    assert "weights eligible for flaky failures must sum to a finite float" in str(
+        excinfo.value
+    )
+
+
+def test_weights_of_a_label_are_totalled_apart():
+    # Each label's pool alone has a finite total, so generation can draw.
+    pool = (
+        ExceptionSpec("A", 1e308),
+        ExceptionSpec("B", 1e308, only_label=Label.TRUE),
+    )
+    config(exception_pool=pool).validate()
