@@ -9,10 +9,7 @@ from .classifier import (
     FeatureVector,
     default_cut_prefixes,
     extract_features,
-    load_model,
     oversample,
-    predict,
-    save_model,
     train_decision_tree,
     train_naive_bayes,
 )
@@ -29,7 +26,6 @@ from .errors import (
     MalformedFrame,
     MalformedLog,
     ModeMismatch,
-    ModelFormatError,
     SchemaError,
     UnknownTerm,
     UnlabeledRecord,
@@ -52,7 +48,6 @@ from .ingest import (
     normalize,
     parse_failure_file,
     parse_failure_text,
-    parse_failure_tree,
     parse_frame,
     read_corpus_xml,
     write_corpus_xml,
@@ -78,7 +73,6 @@ from .model import (
     Label,
     StackFrame,
     TestId,
-    full_test_name,
 )
 from .synth import CountDistribution, ExceptionSpec, GeneratorConfig, generate
 from .tfidf import TokenDocument, classify_nn, cosine, idf, tf, tokenize, vectorize

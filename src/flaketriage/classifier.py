@@ -8,28 +8,27 @@ suppresses a failure and a tie must never suppress.
 """
 from __future__ import annotations
 
-import json
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .errors import EmptyDataset, ModelFormatError
+from .errors import EmptyDataset
 from .ingest import NormalizedFailure
 from .model import KnownTests, Label, TestId
 
 DEFAULT_FRAMEWORK_PREFIXES = frozenset({"org.junit.", "junit."})
 
 # Field order doubles as the split tie-breaking order in the decision tree.
-_BOOLEAN_FEATURES = (
+_FEATURES = (
+    "exception_type",
     "test_name_in_trace",
     "test_class_in_trace",
     "other_tests_in_trace",
     "junit_in_trace",
     "cut_in_trace",
 )
-_FEATURES = ("exception_type",) + _BOOLEAN_FEATURES
 
 Sample = tuple["FeatureVector", Label]
 
@@ -241,8 +240,6 @@ class DecisionTreeModel:
     unlimited. Unseen exception values follow the not-equal branches.
     """
 
-    kind = "decision_tree"
-
     def __init__(self, root: _Split | _Leaf, training_summary: dict) -> None:
         self._root = root
         self.training_summary = training_summary
@@ -290,8 +287,6 @@ class NaiveBayesModel:
     for a feature contributes the smoothed zero-count likelihood. The log
     prior and log likelihoods are tabled once, per label with samples.
     """
-
-    kind = "naive_bayes"
 
     def __init__(
         self,
@@ -370,10 +365,6 @@ def train_naive_bayes(
 TrainedModel = Union[DecisionTreeModel, NaiveBayesModel]
 
 
-def predict(model: TrainedModel, fv: FeatureVector) -> Label:
-    return model.predict(fv)
-
-
 def oversample(
     data: Sequence[Sample], threshold: float = 0.10, seed: int = 0
 ) -> list[Sample]:
@@ -396,116 +387,3 @@ def oversample(
     rng = random.Random(seed)
     out.extend(pool[rng.randrange(len(pool))] for _ in range(needed))
     return out
-
-
-# --- model serialization ----------------------------------------------------
-
-_MODEL_FORMAT = "failure-log-classifier"
-_MODEL_VERSION = 1
-
-
-def _node_to_dict(node: _Split | _Leaf) -> dict:
-    if isinstance(node, _Leaf):
-        return {
-            "leaf": {
-                "label": node.label.value,
-                "n_flaky": node.n_flaky,
-                "n_true": node.n_true,
-            }
-        }
-    return {
-        "split": {
-            "feature": node.feature,
-            "category": node.category,
-            "match": _node_to_dict(node.match),
-            "other": _node_to_dict(node.other),
-        }
-    }
-
-
-def _node_from_dict(data: dict) -> _Split | _Leaf:
-    if "leaf" in data:
-        leaf = data["leaf"]
-        return _Leaf(Label(leaf["label"]), leaf["n_flaky"], leaf["n_true"])
-    split = data["split"]
-    feature, category = split["feature"], split["category"]
-    if not (
-        feature == "exception_type" and isinstance(category, str)
-        or feature in _BOOLEAN_FEATURES and category is None
-    ):
-        raise ModelFormatError(
-            f"no split on feature {feature!r} with category {category!r}"
-        )
-    return _Split(
-        feature,
-        category,
-        _node_from_dict(split["match"]),
-        _node_from_dict(split["other"]),
-    )
-
-
-def save_model(model: TrainedModel) -> str:
-    """Serialise a trained model to a versioned, self-describing JSON text."""
-    payload: dict = {
-        "format": _MODEL_FORMAT,
-        "version": _MODEL_VERSION,
-        "kind": model.kind,
-        "training_summary": dict(model.training_summary),
-    }
-    if isinstance(model, DecisionTreeModel):
-        payload["tree"] = _node_to_dict(model._root)
-    else:
-        payload["class_counts"] = {
-            label.value: n for label, n in model._class_counts.items()
-        }
-        payload["value_counts"] = {
-            feature: {label.value: dict(counts) for label, counts in per_label.items()}
-            for feature, per_label in model._value_counts.items()
-        }
-        payload["categories"] = {
-            feature: list(values) for feature, values in model._categories.items()
-        }
-        payload["smoothing"] = model._smoothing
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def load_model(text: str) -> TrainedModel:
-    """Read a model written by :func:`save_model`.
-
-    Raises :class:`ModelFormatError` for any text that is not such a model.
-    """
-    try:
-        return _model_from_payload(json.loads(text))
-    except ModelFormatError:
-        raise
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ModelFormatError(f"not a valid model document: {exc!r}") from exc
-
-
-def _model_from_payload(payload: dict) -> TrainedModel:
-    if payload.get("format") != _MODEL_FORMAT:
-        raise ModelFormatError(f"not a {_MODEL_FORMAT} document")
-    if payload.get("version") != _MODEL_VERSION:
-        raise ModelFormatError(
-            f"unsupported model version {payload.get('version')!r}"
-        )
-    if payload["kind"] == "decision_tree":
-        return DecisionTreeModel(
-            _node_from_dict(payload["tree"]), payload["training_summary"]
-        )
-    if payload["kind"] == "naive_bayes":
-        class_counts = {
-            Label(name): n for name, n in payload["class_counts"].items()
-        }
-        value_counts = {
-            feature: {Label(name): dict(counts) for name, counts in per_label.items()}
-            for feature, per_label in payload["value_counts"].items()
-        }
-        categories = {
-            feature: tuple(values)
-            for feature, values in payload["categories"].items()
-        }
-        return NaiveBayesModel(
-            class_counts, value_counts, categories, payload["smoothing"]
-        )
-    raise ModelFormatError(f"unknown model kind {payload['kind']!r}")

@@ -36,10 +36,15 @@ EXIT_TRUE_FAILURE = 3
 
 _MODES = {"full": MatchMode.FULL, "exception-only": MatchMode.EXCEPTION_ONLY}
 _SCOPES = {"per-test": MatchScope.PER_TEST, "cross-test": MatchScope.CROSS_TEST}
-# The flags only --method match reads; unset, they take these values.
-_MATCH_DEFAULTS = {"scope": "per-test", "mode": "full"}
-# The methods whose training samples --oversample balances.
-_OVERSAMPLED = ("tree", "bayes")
+# The flags only some methods read: each one's value when unset, and the
+# methods that read it. Any other method given the flag is a usage error.
+_METHOD_FLAGS = {
+    "k": (evaluation.DEFAULT_FOLDS, ("tree", "bayes", "tfidf")),
+    "seed": (0, ("tree", "bayes", "tfidf")),
+    "oversample": (False, ("tree", "bayes")),
+    "scope": ("per-test", ("match",)),
+    "mode": ("full", ("match",)),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,11 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", required=True, choices=("match", "tree", "bayes", "tfidf")
     )
     p.add_argument(
-        "--k", type=_int_at_least(2), default=evaluation.DEFAULT_FOLDS,
-        help="cross-validation folds (at least 2)",
+        "--k", type=_int_at_least(2), help="cross-validation folds (at least 2)"
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oversample", action="store_true")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--oversample", action="store_true", default=None)
     p.add_argument("--scope", choices=sorted(_SCOPES))
     p.add_argument("--mode", choices=sorted(_MODES))
     p.add_argument(
@@ -392,19 +396,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "oversample", False) and args.method not in _OVERSAMPLED:
-            parser.error(
-                f"--oversample applies only to --method tree or bayes, "
-                f"not {args.method}"
-            )
-        for flag, default in _MATCH_DEFAULTS.items():
+        for flag, (default, methods) in _METHOD_FLAGS.items():
             if not hasattr(args, flag):
                 continue
             if getattr(args, flag) is None:
                 setattr(args, flag, default)
-            elif args.method != "match":
+            elif args.method not in methods:
                 parser.error(
-                    f"--{flag} applies only to --method match, not {args.method}"
+                    f"--{flag} applies only to --method {' or '.join(methods)}, "
+                    f"not {args.method}"
                 )
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -59,7 +59,3 @@ class InsufficientTrue(FlakeTriageError):
 
 class InvalidConfig(FlakeTriageError):
     """A generator configuration violates one of its bounds."""
-
-
-class ModelFormatError(FlakeTriageError, ValueError):
-    """A text given as a saved classifier model is not one."""

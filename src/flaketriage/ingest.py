@@ -110,9 +110,10 @@ def parse_failure_text(
     dropped. Frame lines start with optional whitespace and ``at ``; anything
     else is ignored, and a ``Caused by:`` or ``Suppressed:`` line ends the
     primary trace. Malformed frame lines are skipped, with a note appended to
-    ``diagnostics`` when a list is supplied.
+    ``diagnostics`` when a list is supplied. One leading byte order mark
+    (U+FEFF) is dropped, so it cannot become part of the exception type.
     """
-    lines = raw.splitlines()
+    lines = raw.removeprefix("\ufeff").splitlines()
     header = None
     start = 0
     for i, line in enumerate(lines):
@@ -178,20 +179,6 @@ def parse_failure_file(
             f"{path}: not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}"
         ) from None
     return parse_failure_text(raw, test, diagnostics)
-
-
-def parse_failure_tree(
-    root: Path | str, test: TestId, diagnostics: list[str] | None = None
-) -> list[FailureRecord]:
-    """Parse every ``*.log`` / ``*.txt`` file under a directory tree.
-
-    Each file holds one failure; files are visited in sorted path order.
-    """
-    records = []
-    for path in sorted(Path(root).rglob("*")):
-        if path.is_file() and path.suffix.lower() in (".log", ".txt"):
-            records.append(parse_failure_file(path, test, diagnostics))
-    return records
 
 
 def normalize(

@@ -49,11 +49,6 @@ class TestId:
         return f"{self.class_fqn}.{self.method}"
 
 
-def full_test_name(test: TestId) -> str:
-    """Dot-joined class and method, e.g. ``tachyon.JournalTest.TableTest``."""
-    return test.full_name()
-
-
 def record_id(test: TestId, label: Label, position: int) -> str:
     """Stable identifier of the record at ``position`` in a test's label bucket."""
     return f"{test.project}/{test.full_name()}/{label.value}[{position}]"

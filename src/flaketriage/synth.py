@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import InvalidConfig
@@ -338,22 +338,6 @@ def _json_value(value, name: str, kind: str):
     return value
 
 
-@dataclass
-class GenerationTrace:
-    """Counts drawn during generation, for checking realized totals."""
-
-    flaky_occurrence_draws: list[int] = field(default_factory=list)
-    true_failure_draws: list[int] = field(default_factory=list)
-
-    @property
-    def total_flaky(self) -> int:
-        return sum(self.flaky_occurrence_draws)
-
-    @property
-    def total_true(self) -> int:
-        return sum(self.true_failure_draws)
-
-
 def _weighted_choice(
     rng: random.Random, pool: list[ExceptionSpec]
 ) -> ExceptionSpec:
@@ -431,12 +415,11 @@ def _volatile_message(rng: random.Random, exception: str) -> str:
     return f"{exception} on {ip} at {stamp}: operation timed out"
 
 
-def generate_with_trace(config: GeneratorConfig) -> tuple[Corpus, GenerationTrace]:
-    """Generate a labeled corpus and the counts drawn along the way."""
+def generate(config: GeneratorConfig) -> Corpus:
+    """Generate a labeled corpus; equal configs yield equal corpora."""
     config.validate()
     rng = random.Random(config.seed)
     corpus = Corpus()
-    trace = GenerationTrace()
     flaky_pool = [s for s in config.exception_pool if s.eligible(Label.FLAKY)]
     true_pool = [s for s in config.exception_pool if s.eligible(Label.TRUE)]
 
@@ -456,7 +439,6 @@ def generate_with_trace(config: GeneratorConfig) -> tuple[Corpus, GenerationTrac
                 frames = _make_stack(rng, package, test, depth, _FLAKY_LINE_RANGE)
                 fixed_message = f"{spec.name} while running {test.method}"
                 occurrences = config.flaky_occurrences_per_signature.sample(rng)
-                trace.flaky_occurrence_draws.append(occurrences)
                 for _ in range(occurrences):
                     message = (
                         _volatile_message(rng, spec.name)
@@ -473,7 +455,6 @@ def generate_with_trace(config: GeneratorConfig) -> tuple[Corpus, GenerationTrac
                         )
                     )
             n_true = config.true_failures_per_test.sample(rng)
-            trace.true_failure_draws.append(n_true)
             for _ in range(n_true):
                 spec = _weighted_choice(rng, true_pool)
                 depth = rng.randint(*config.frame_depth)
@@ -492,10 +473,4 @@ def generate_with_trace(config: GeneratorConfig) -> tuple[Corpus, GenerationTrac
                         label=Label.TRUE,
                     )
                 )
-    return corpus, trace
-
-
-def generate(config: GeneratorConfig) -> Corpus:
-    """Generate a labeled corpus; equal configs yield equal corpora."""
-    corpus, _ = generate_with_trace(config)
     return corpus

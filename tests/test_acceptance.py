@@ -488,9 +488,9 @@ def test_criterion_8_determinism(tmp_path, capsys):
     ):
         texts = []
         for path in (corpus_path, corpus_path, reversed_path):
+            cv_flags = () if method[0] == "match" else ("--k", "3", "--seed", "5")
             assert main([
-                "evaluate", "--corpus", str(path), "--method", *method,
-                "--k", "3", "--seed", "5",
+                "evaluate", "--corpus", str(path), "--method", *method, *cv_flags,
             ]) == 0
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1] == texts[2], method

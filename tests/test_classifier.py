@@ -1,6 +1,4 @@
 """Feature extraction, decision tree, naive Bayes, and oversampling."""
-import itertools
-import json
 import math
 import random
 
@@ -10,16 +8,14 @@ from hypothesis import strategies as st
 
 from flaketriage.classifier import (
     FeatureVector,
+    NaiveBayesModel,
     default_cut_prefixes,
     extract_features,
-    load_model,
     oversample,
-    predict,
-    save_model,
     train_decision_tree,
     train_naive_bayes,
 )
-from flaketriage.errors import EmptyDataset, FlakeTriageError, ModelFormatError
+from flaketriage.errors import EmptyDataset
 from flaketriage.ingest import normalize, parse_failure_text
 from flaketriage.model import Label, TestId
 
@@ -270,6 +266,34 @@ def test_bayes_rejects_empty_and_bad_smoothing():
         train_naive_bayes([(fv(), Label.FLAKY)], smoothing=0)
 
 
+@pytest.mark.parametrize(
+    "class_counts",
+    [
+        pytest.param({}, id="no-labels"),
+        pytest.param({Label.FLAKY: 0, Label.TRUE: 0}, id="no-samples"),
+        pytest.param({Label.FLAKY: 5, Label.TRUE: -5}, id="negative-count"),
+    ],
+)
+def test_bayes_model_rejects_class_counts_without_samples(class_counts):
+    with pytest.raises(ValueError, match="class counts must hold samples"):
+        NaiveBayesModel(class_counts, {}, {}, 1.0)
+
+
+@pytest.mark.parametrize("smoothing", [0, -1.0, math.nan])
+def test_bayes_model_rejects_smoothing_that_is_not_positive(smoothing):
+    with pytest.raises(ValueError, match="smoothing must be positive"):
+        NaiveBayesModel({Label.FLAKY: 1}, {}, {}, smoothing)
+
+
+@pytest.mark.parametrize("label", [Label.FLAKY, Label.TRUE])
+def test_bayes_model_with_samples_of_one_label_predicts_that_label(label):
+    fitted = train_naive_bayes(_separable_data())
+    class_counts = {Label.FLAKY: 0, Label.TRUE: 0, label: 3}
+    model = NaiveBayesModel(class_counts, fitted._value_counts, fitted._categories, 1.0)
+    for exception in ("UnknownHostException", "AssertionError", "anything"):
+        assert model.predict(fv(exception)) is label
+
+
 # --- oversampling ----------------------------------------------------------------
 
 
@@ -309,15 +333,7 @@ def test_oversample_single_class_is_a_no_op():
     assert oversample(data) == data
 
 
-# --- shared prediction surface -----------------------------------------------------
-
-
-def test_predict_delegates_to_models():
-    tree = train_decision_tree(_separable_data())
-    bayes = train_naive_bayes(_separable_data())
-    sample = fv("UnknownHostException")
-    assert predict(tree, sample) is tree.predict(sample)
-    assert predict(bayes, sample) is bayes.predict(sample)
+# --- training summaries ----------------------------------------------------------
 
 
 def test_models_have_training_summaries():
@@ -327,109 +343,3 @@ def test_models_have_training_summaries():
     assert tree.training_summary["n_flaky"] == 2
     assert "depth" in tree.training_summary
     assert bayes.training_summary["smoothing"] == 0.5
-
-
-@pytest.mark.parametrize("kind", ["tree", "bayes"])
-def test_model_serialization_round_trips_predictions(kind):
-    data = _random_consistent_dataset(random.Random(11))
-    model = (
-        train_decision_tree(data) if kind == "tree" else train_naive_bayes(data)
-    )
-    restored = load_model(save_model(model))
-    assert restored.kind == model.kind
-    probes = [features for features, _ in data]
-    probes += [
-        fv(e, junit_in_trace=j, cut_in_trace=c)
-        for e, j, c in itertools.product(["E0", "E9"], [False, True], [False, True])
-    ]
-    for features in probes:
-        assert restored.predict(features) is model.predict(features)
-
-
-def test_load_model_rejects_foreign_documents():
-    with pytest.raises(ValueError):
-        load_model('{"format": "something-else", "version": 1}')
-
-
-_HEADER = '"format": "failure-log-classifier", "version": 1'
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "{",  # not JSON
-        "[]",  # JSON, but not an object
-        '"tree"',
-        "{" + _HEADER + "}",  # no kind
-        "{" + _HEADER + ', "kind": "decision_tree"}',  # no tree
-        "{" + _HEADER + ', "kind": "decision_tree", "training_summary": {},'
-        ' "tree": {"leaf": {"label": "maybe", "n_flaky": 0, "n_true": 0}}}',
-        "{" + _HEADER + ', "kind": "decision_tree", "training_summary": {},'
-        ' "tree": 3}',
-        "{" + _HEADER + ', "kind": "naive_bayes", "class_counts": []}',
-        "{" + _HEADER + ', "kind": "random_forest"}',
-        '{"format": "failure-log-classifier", "version": 2, "kind": "naive_bayes"}',
-        '{"format": "something-else", "version": 1}',
-    ],
-)
-def test_load_model_raises_only_model_format_errors(text):
-    with pytest.raises(ModelFormatError) as info:
-        load_model(text)
-    assert isinstance(info.value, FlakeTriageError)
-
-
-def _mutated(kind, change):
-    data = _random_consistent_dataset(random.Random(11))
-    model = train_decision_tree(data) if kind == "tree" else train_naive_bayes(data)
-    document = json.loads(save_model(model))
-    change(document)
-    return json.dumps(document)
-
-
-@pytest.mark.parametrize(
-    "kind, change",
-    [
-        pytest.param(
-            "bayes", lambda d: d["value_counts"].pop("cut_in_trace"),
-            id="bayes-feature-missing",
-        ),
-        pytest.param(
-            "bayes", lambda d: d["categories"].pop("exception_type"),
-            id="bayes-categories-missing",
-        ),
-        pytest.param(
-            "bayes", lambda d: d.update(class_counts={"flaky": 0, "true": 0}),
-            id="bayes-no-samples",
-        ),
-        pytest.param(
-            "bayes", lambda d: d.update(class_counts={"flaky": 5, "true": -5}),
-            id="bayes-negative-count",
-        ),
-        pytest.param("bayes", lambda d: d.update(smoothing=0), id="bayes-smoothing-0"),
-        pytest.param(
-            "bayes", lambda d: d.update(smoothing="1"), id="bayes-smoothing-string"
-        ),
-        pytest.param(
-            "tree", lambda d: d["tree"]["split"].update(feature="colour"),
-            id="tree-unknown-feature",
-        ),
-        pytest.param(
-            "tree",
-            lambda d: d["tree"]["split"].update(feature="junit_in_trace", category="E1"),
-            id="tree-boolean-with-category",
-        ),
-        pytest.param(
-            "tree",
-            lambda d: d["tree"]["split"].update(feature="exception_type", category=None),
-            id="tree-exception-without-category",
-        ),
-    ],
-)
-def test_load_model_rejects_incomplete_documents(kind, change):
-    with pytest.raises(ModelFormatError):
-        load_model(_mutated(kind, change))
-
-
-def test_load_model_keeps_a_one_label_bayes_model():
-    text = _mutated("bayes", lambda d: d.update(class_counts={"flaky": 3, "true": 0}))
-    assert load_model(text).predict(fv("anything")) is Label.FLAKY

@@ -18,6 +18,7 @@ from flaketriage.cli import (
     build_parser,
     main,
 )
+from flaketriage.evaluation import DEFAULT_FOLDS
 from flaketriage.ingest import read_corpus_xml
 
 from conftest import (
@@ -405,6 +406,33 @@ def test_evaluate_oversample_without_a_feature_method_is_usage_error(
     assert f"--oversample applies only to --method tree or bayes, not {method}" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--k", "3"), ("--k", "10"), ("--seed", "5"), ("--seed", "0")],
+)
+def test_evaluate_match_with_a_cv_flag_is_usage_error(synth_corpus, capsys, flag, value):
+    # An explicit default is refused too: match reads neither flag.
+    code, out, err = run(
+        capsys, "evaluate", "--corpus", synth_corpus, "--method", "match", flag, value
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"{flag} applies only to --method tree or bayes or tfidf, not match" in err
+
+
+@pytest.mark.parametrize("method", ["tree", "bayes", "tfidf"])
+def test_evaluate_cv_methods_read_k_and_seed(synth_corpus, capsys, method):
+    code, out, _ = run(capsys, "evaluate", "--corpus", synth_corpus, "--method", method)
+    assert code == EXIT_OK
+    assert f"(method={method}, k={DEFAULT_FOLDS}, seed=0, " in out
+    code, out, _ = run(
+        capsys, "evaluate", "--corpus", synth_corpus, "--method", method,
+        "--k", "3", "--seed", "5",
+    )
+    assert code == EXIT_OK
+    assert f"(method={method}, k=3, seed=5, " in out
+
+
 def test_evaluate_oversample_with_a_feature_method_runs(synth_corpus, capsys):
     code, out, _ = run(
         capsys, "evaluate", "--corpus", synth_corpus, "--method", "bayes", "--oversample"
@@ -580,3 +608,11 @@ def test_readme_cli_synopsis_names_every_option():
         for name, parser in subcommands.choices.items()
     }
     assert documented == defined
+
+
+def test_readme_python_blocks_run():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})

@@ -17,7 +17,6 @@ from flaketriage.ingest import (
     normalize,
     parse_failure_file,
     parse_failure_text,
-    parse_failure_tree,
     parse_frame,
     read_corpus_xml,
     write_corpus_xml,
@@ -207,16 +206,7 @@ def test_parse_frame_rejects_bad_shapes():
             parse_frame(text)
 
 
-def test_parse_failure_tree(tmp_path, alluxio_logs, alluxio_test):
-    (tmp_path / "one.log").write_text(alluxio_logs[0])
-    (tmp_path / "sub").mkdir()
-    (tmp_path / "sub" / "two.txt").write_text(alluxio_logs[1])
-    (tmp_path / "ignored.xml").write_text("<x/>")
-    records = parse_failure_tree(tmp_path, alluxio_test)
-    assert len(records) == 2
-    assert all(r.exception_type == "UnknownHostException" for r in records)
-
-
+BOM = "\ufeff"
 LATIN1_LOG = b"java.lang.AssertionError: caf\xe9\n\tat a.B.test(B.java:1)\n"
 
 
@@ -227,8 +217,10 @@ def test_parse_failure_file_rejects_bytes_that_are_not_utf8(tmp_path):
         parse_failure_file(path, TestId("p", "a.B", "test"))
     assert str(info.value) == f"{path}: not UTF-8: byte 0xe9 at offset 29"
     assert LATIN1_LOG[29:30] == b"\xe9"
-    with pytest.raises(MalformedLog, match="offset 29"):
-        parse_failure_tree(tmp_path, TestId("p", "a.B", "test"))
+    # The offset counts in the file's bytes, a byte order mark's too.
+    path.write_bytes(BOM.encode("utf-8") + LATIN1_LOG)
+    with pytest.raises(MalformedLog, match="byte 0xe9 at offset 32"):
+        parse_failure_file(path, TestId("p", "a.B", "test"))
 
 
 def test_parse_failure_file_keeps_utf8_and_crlf_logs(tmp_path):
@@ -238,6 +230,31 @@ def test_parse_failure_file_keeps_utf8_and_crlf_logs(tmp_path):
     assert (rec.message, [f.render() for f in rec.frames]) == (
         "caf\u00e9", ["a.B.test(B.java:1)"],
     )
+
+
+@pytest.mark.parametrize("source", ["text", "file"])
+@pytest.mark.parametrize(
+    "header",
+    [
+        "AssertionError: x",
+        "java.lang.AssertionError: x",
+        "AssertionError",
+        "java.lang.AssertionError",
+    ],
+)
+def test_parse_drops_a_leading_byte_order_mark(tmp_path, header, source):
+    log = f"{header}\n\tat a.B.test(B.java:1)\n"
+    test = TestId("p", "a.B", "test")
+    rec = parse_failure_text(log, test)
+    assert (rec.exception_type, rec.exception_fqn) == (
+        "AssertionError", "java.lang.AssertionError" if "." in header else "",
+    )
+    if source == "text":
+        assert parse_failure_text(BOM + log, test) == rec
+    else:
+        path = tmp_path / "bom.log"
+        path.write_bytes((BOM + log).encode("utf-8"))
+        assert parse_failure_file(path, test) == rec
 
 
 # --- normalization ----------------------------------------------------------

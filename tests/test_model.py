@@ -17,20 +17,16 @@ from flaketriage.model import (
     Label,
     StackFrame,
     TestId,
-    full_test_name,
 )
 
 from conftest import frame, record
 
 
-def test_full_test_name_alluxio():
+def test_test_id_full_name_joins_class_and_method():
     t = TestId("alluxio", "tachyon.JournalTest", "TableTest")
-    assert full_test_name(t) == "tachyon.JournalTest.TableTest"
-
-
-def test_full_test_name_concatenation():
-    assert full_test_name(TestId("p", "A", "m")) == "A.m"
-    assert full_test_name(TestId("p", "a.b.C", "t1")) == "a.b.C.t1"
+    assert t.full_name() == "tachyon.JournalTest.TableTest"
+    assert TestId("p", "A", "m").full_name() == "A.m"
+    assert TestId("p", "a.b.C", "t1").full_name() == "a.b.C.t1"
 
 
 def test_test_id_rejects_empty_fields():
