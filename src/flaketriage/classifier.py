@@ -18,7 +18,10 @@ from .errors import EmptyDataset
 from .ingest import NormalizedFailure
 from .model import KnownTests, Label, TestId
 
-DEFAULT_FRAMEWORK_PREFIXES = frozenset({"org.junit.", "junit."})
+# A frame of one of these packages references the test framework.
+FRAMEWORK_PREFIXES = ("org.junit.", "junit.")
+# The additive smoothing of naive Bayes likelihoods (Laplace).
+SMOOTHING = 1.0
 
 # Field order doubles as the split tie-breaking order in the decision tree.
 _FEATURES = (
@@ -75,15 +78,9 @@ class FeatureContext:
     meaning of each part.
     """
 
-    def __init__(
-        self,
-        known: KnownTests,
-        cut_prefixes: Iterable[str],
-        framework_prefixes: Iterable[str] = DEFAULT_FRAMEWORK_PREFIXES,
-    ) -> None:
+    def __init__(self, known: KnownTests, cut_prefixes: Iterable[str]) -> None:
         self.known = known
         self.cut_prefixes = tuple(cut_prefixes)
-        self.framework_prefixes = tuple(framework_prefixes)
 
     def features(self, nf: NormalizedFailure) -> FeatureVector:
         test = nf.base.test
@@ -100,7 +97,7 @@ class FeatureContext:
                 self.known.prefixes(line, excluded) for line in lines
             ),
             junit_in_trace=any(
-                f.class_fqn.startswith(self.framework_prefixes) for f in frames
+                f.class_fqn.startswith(FRAMEWORK_PREFIXES) for f in frames
             ),
             cut_in_trace=any(
                 f.class_fqn not in known_classes
@@ -115,7 +112,6 @@ def extract_features(
     nf: NormalizedFailure,
     known_tests: Iterable[TestId],
     cut_prefixes: Iterable[str] | None = None,
-    framework_prefixes: Iterable[str] = DEFAULT_FRAMEWORK_PREFIXES,
 ) -> FeatureVector:
     """Read the six features off a normalized failure.
 
@@ -128,7 +124,7 @@ def extract_features(
     known = KnownTests(known_tests)
     if cut_prefixes is None:
         cut_prefixes = default_cut_prefixes(known.tests | {nf.base.test})
-    return FeatureContext(known, cut_prefixes, framework_prefixes).features(nf)
+    return FeatureContext(known, cut_prefixes).features(nf)
 
 
 # --- decision tree ---------------------------------------------------------
@@ -178,15 +174,11 @@ def _groups(data: Iterable[Sample]) -> list[tuple[tuple, int, int]]:
     ]
 
 
-def _grow(
-    groups: list[tuple[tuple, int, int]], depth: int, max_depth: int | None, min_leaf: int
-) -> _Split | _Leaf:
+def _grow(groups: list[tuple[tuple, int, int]]) -> _Split | _Leaf:
     n_flaky = sum(g[1] for g in groups)
     n_true = sum(g[2] for g in groups)
     leaf = _Leaf(Label.FLAKY if n_flaky > n_true else Label.TRUE, n_flaky, n_true)
     if n_flaky == 0 or n_true == 0:
-        return leaf
-    if max_depth is not None and depth >= max_depth:
         return leaf
 
     parent = _gini(n_flaky, n_true)
@@ -194,7 +186,7 @@ def _grow(
     # A candidate sends the groups whose value at `position` equals `value`
     # to the match branch: exception values in lexicographic order first,
     # then the boolean features in field order. Strict > keeps the earliest
-    # candidate on ties; `min_leaf` counts samples, not groups.
+    # candidate on ties; one that leaves a side without samples is skipped.
     candidates = [(0, value) for value in sorted({key[0] for key, _, _ in groups})]
     candidates += [(position, True) for position in range(1, len(_FEATURES))]
     best: tuple[int, object] | None = None
@@ -203,7 +195,7 @@ def _grow(
         m_flaky = sum(f for key, f, _ in groups if key[position] == value)
         m_true = sum(t for key, _, t in groups if key[position] == value)
         m = m_flaky + m_true
-        if m < min_leaf or n - m < min_leaf:
+        if m == 0 or m == n:
             continue
         weighted = (
             m * _gini(m_flaky, m_true)
@@ -214,15 +206,15 @@ def _grow(
             best_gain = gain
             best = (position, value)
     if best is None:
-        return leaf  # all vectors identical (or min_leaf forbids any split)
+        return leaf  # all vectors identical
     position, value = best
     match = [g for g in groups if g[0][position] == value]
     other = [g for g in groups if g[0][position] != value]
     return _Split(
         _FEATURES[position],
         value if position == 0 else None,
-        _grow(match, depth + 1, max_depth, min_leaf),
-        _grow(other, depth + 1, max_depth, min_leaf),
+        _grow(match),
+        _grow(other),
     )
 
 
@@ -236,8 +228,8 @@ class DecisionTreeModel:
     """Greedy binary tree over the six features, split by Gini reduction.
 
     An impure node whose vectors still differ is always split (even at zero
-    gain), so a consistent training set is classified perfectly when depth is
-    unlimited. Unseen exception values follow the not-equal branches.
+    gain) and depth is unlimited, so a consistent training set is classified
+    perfectly. Unseen exception values follow the not-equal branches.
     """
 
     def __init__(self, root: _Split | _Leaf, training_summary: dict) -> None:
@@ -255,18 +247,12 @@ class DecisionTreeModel:
         return node.label
 
 
-def train_decision_tree(
-    data: Sequence[Sample],
-    max_depth: int | None = None,
-    min_leaf: int = 1,
-) -> DecisionTreeModel:
+def train_decision_tree(data: Sequence[Sample]) -> DecisionTreeModel:
     """Train a decision tree; leaves predict the majority label, ties true."""
     if not data:
         raise EmptyDataset("cannot train a decision tree on no samples")
-    if min_leaf < 1:
-        raise ValueError("min_leaf must be >= 1")
     groups = _groups(data)
-    root = _grow(groups, 0, max_depth, min_leaf)
+    root = _grow(groups)
     n_flaky = sum(g[1] for g in groups)
     summary = {
         "n_samples": len(data),
@@ -281,7 +267,8 @@ def train_decision_tree(
 
 
 class NaiveBayesModel:
-    """Categorical naive Bayes with additive smoothing over the six features.
+    """Categorical naive Bayes with additive smoothing (:data:`SMOOTHING`)
+    over the six features.
 
     Likelihoods use the categories observed in training; a value never seen
     for a feature contributes the smoothed zero-count likelihood. The log
@@ -293,17 +280,13 @@ class NaiveBayesModel:
         class_counts: dict[Label, int],
         value_counts: dict[str, dict[Label, dict[str, int]]],
         categories: dict[str, tuple[str, ...]],
-        smoothing: float,
     ) -> None:
-        if not smoothing > 0:
-            raise ValueError("smoothing must be positive")
         total = sum(class_counts.values())
         if not total > 0 or min(class_counts.values()) < 0:
             raise ValueError(f"class counts must hold samples, got {class_counts}")
         self._class_counts = class_counts
         self._value_counts = value_counts
         self._categories = categories
-        self._smoothing = smoothing
         # Per label: its log prior, and per feature the log likelihood of
         # each value seen under the label and that of any other value.
         self._tables: dict[Label, tuple[float, list]] = {}
@@ -311,18 +294,18 @@ class NaiveBayesModel:
             if n_label:
                 likelihoods = []
                 for feature in _FEATURES:
-                    denominator = n_label + smoothing * len(categories[feature])
+                    denominator = n_label + SMOOTHING * len(categories[feature])
                     seen = value_counts[feature][label].items()
                     likelihoods.append((feature, {
-                        value: math.log((count + smoothing) / denominator)
+                        value: math.log((count + SMOOTHING) / denominator)
                         for value, count in seen
-                    }, math.log(smoothing / denominator)))
+                    }, math.log(SMOOTHING / denominator)))
                 self._tables[label] = (math.log(n_label / total), likelihoods)
         self.training_summary = {
             "n_samples": total,
             "n_flaky": class_counts.get(Label.FLAKY, 0),
             "n_true": class_counts.get(Label.TRUE, 0),
-            "smoothing": smoothing,
+            "smoothing": SMOOTHING,
         }
 
     def _score(self, label: Label, fv: FeatureVector) -> float:
@@ -339,9 +322,7 @@ class NaiveBayesModel:
         return Label.FLAKY if flaky > true else Label.TRUE
 
 
-def train_naive_bayes(
-    data: Sequence[Sample], smoothing: float = 1.0
-) -> NaiveBayesModel:
+def train_naive_bayes(data: Sequence[Sample]) -> NaiveBayesModel:
     if not data:
         raise EmptyDataset("cannot train naive Bayes on no samples")
     class_counts = {Label.FLAKY: 0, Label.TRUE: 0}
@@ -359,16 +340,19 @@ def train_naive_bayes(
         feature: tuple(sorted({v for counts in per_label.values() for v in counts}))
         for feature, per_label in value_counts.items()
     }
-    return NaiveBayesModel(class_counts, value_counts, categories, smoothing)
+    return NaiveBayesModel(class_counts, value_counts, categories)
 
 
 TrainedModel = Union[DecisionTreeModel, NaiveBayesModel]
 
 
-def oversample(
-    data: Sequence[Sample], threshold: float = 0.10, seed: int = 0
-) -> list[Sample]:
-    """Duplicate minority samples until minority/majority reaches the threshold.
+# The minority/majority ratio that oversampling raises the data to.
+OVERSAMPLE_THRESHOLD = 0.10
+
+
+def oversample(data: Sequence[Sample], seed: int = 0) -> list[Sample]:
+    """Duplicate minority samples until minority/majority reaches
+    :data:`OVERSAMPLE_THRESHOLD`.
 
     Resampling is uniform over the original minority samples and seeded, so
     the result is deterministic; the original samples are never removed or
@@ -380,10 +364,10 @@ def oversample(
         return out
     minority, n_minority = min(counts.items(), key=lambda kv: (kv[1], kv[0].value))
     n_majority = max(counts.values())
-    if n_majority == 0 or n_minority / n_majority >= threshold:
+    if n_majority == 0 or n_minority / n_majority >= OVERSAMPLE_THRESHOLD:
         return out
     pool = [sample for sample in data if sample[1] is minority]
-    needed = math.ceil(threshold * n_majority) - n_minority
+    needed = math.ceil(OVERSAMPLE_THRESHOLD * n_majority) - n_minority
     rng = random.Random(seed)
     out.extend(pool[rng.randrange(len(pool))] for _ in range(needed))
     return out

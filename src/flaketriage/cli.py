@@ -339,15 +339,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _make_trainer(args, index: evaluation.ProjectIndex) -> evaluation.Trainer:
-    threshold = evaluation.OVERSAMPLE_THRESHOLD if args.oversample else None
     if args.method == "tree":
-        return evaluation.tree_trainer(
-            oversample_threshold=threshold, seed=args.seed, index=index
-        )
+        return evaluation.tree_trainer(args.oversample, args.seed, index)
     if args.method == "bayes":
-        return evaluation.bayes_trainer(
-            oversample_threshold=threshold, seed=args.seed, index=index
-        )
+        return evaluation.bayes_trainer(args.oversample, args.seed, index)
     return evaluation.tfidf_trainer()
 
 

@@ -38,7 +38,6 @@ from .tfidf import classify_nn
 
 MIN_FLAKY_FOR_CV = 10
 DEFAULT_FOLDS = 5
-OVERSAMPLE_THRESHOLD = 0.10
 
 Predictor = Callable[[FailureRecord], Label]
 Trainer = Callable[[Sequence[FailureRecord]], Predictor]
@@ -335,22 +334,22 @@ def stratified_cv(
     k: int,
     trainer: Trainer,
     seed: int = 0,
-    min_flaky: int = MIN_FLAKY_FOR_CV,
 ) -> CorpusCvResult:
     """Cross-validate every project of a corpus independently.
 
-    Projects with fewer than ``min_flaky`` flaky failures are skipped with a
-    diagnostic instead of being evaluated. Each project is seeded with the
-    same ``seed``, so per-project results do not depend on evaluation order.
+    Projects with fewer than :data:`MIN_FLAKY_FOR_CV` flaky failures are
+    skipped with a diagnostic instead of being evaluated. Each project is
+    seeded with the same ``seed``, so per-project results do not depend on
+    evaluation order.
     """
     per_project: dict[str, CvResult] = {}
     skipped: dict[str, str] = {}
     for project in corpus.project_names():
         flaky = list(corpus.records(project, Label.FLAKY))
         true = list(corpus.records(project, Label.TRUE))
-        if len(flaky) < min_flaky:
+        if len(flaky) < MIN_FLAKY_FOR_CV:
             skipped[project] = (
-                f"fewer than {min_flaky} flaky failures ({len(flaky)})"
+                f"fewer than {MIN_FLAKY_FOR_CV} flaky failures ({len(flaky)})"
             )
             continue
         try:
@@ -393,12 +392,13 @@ def match_trainer(
 
 def feature_trainer(
     fit: Callable[[list[Sample]], TrainedModel],
-    oversample_threshold: float | None = None,
+    oversampled: bool = False,
     seed: int = 0,
     index: ProjectIndex | None = None,
 ) -> Trainer:
     """Strategy of the six-feature classifiers: ``fit`` a model to the
-    training records' features, optionally oversampled, and predict with it.
+    training records' features, with :func:`oversample` under ``seed`` when
+    ``oversampled`` is set, and predict with it.
 
     Features depend only on the record, the known tests and the CUT
     prefixes, and the prefixes follow from the known tests; so the trainer
@@ -432,8 +432,8 @@ def feature_trainer(
             return entry[1]
 
         data = [(features(r), r.label) for r in records]
-        if oversample_threshold is not None:
-            data = oversample(data, oversample_threshold, seed)
+        if oversampled:
+            data = oversample(data, seed)
         model = fit(data)
         return lambda record: model.predict(features(record))
 
@@ -441,29 +441,15 @@ def feature_trainer(
 
 
 def tree_trainer(
-    max_depth: int | None = None,
-    min_leaf: int = 1,
-    oversample_threshold: float | None = None,
-    seed: int = 0,
-    index: ProjectIndex | None = None,
+    oversampled: bool = False, seed: int = 0, index: ProjectIndex | None = None
 ) -> Trainer:
-    return feature_trainer(
-        lambda data: train_decision_tree(data, max_depth=max_depth, min_leaf=min_leaf),
-        oversample_threshold,
-        seed,
-        index,
-    )
+    return feature_trainer(train_decision_tree, oversampled, seed, index)
 
 
 def bayes_trainer(
-    smoothing: float = 1.0,
-    oversample_threshold: float | None = None,
-    seed: int = 0,
-    index: ProjectIndex | None = None,
+    oversampled: bool = False, seed: int = 0, index: ProjectIndex | None = None
 ) -> Trainer:
-    return feature_trainer(
-        lambda data: train_naive_bayes(data, smoothing), oversample_threshold, seed, index
-    )
+    return feature_trainer(train_naive_bayes, oversampled, seed, index)
 
 
 def tfidf_trainer() -> Trainer:

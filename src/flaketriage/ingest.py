@@ -25,6 +25,10 @@ from .model import Corpus, FailureRecord, Label, StackFrame, TestId
 #   java.net.Inet6AddressImpl.lookupAllHostAddr(Native Method)
 _FRAME_RE = re.compile(r"^(?P<loc>[^\s()]+)\((?P<where>[^()]*)\)$")
 _SOURCE_RE = re.compile(r"^(?P<file>[^:]+):(?P<line>\d+)$")
+# The packaging data logback and log4j2 append to a frame, e.g.
+#   a.B.test(B.java:1) ~[classes/:?]
+#   org.junit.runners.ParentRunner.run(ParentRunner.java:363) [junit-4.12.jar:4.12]
+_PACKAGING_RE = re.compile(r"\s+~?\[[^\[\]]*\]$")
 _NO_SOURCE = ("Native Method", "Unknown Source")
 
 # What the JVM's default handler writes before an uncaught exception, e.g.
@@ -38,8 +42,7 @@ _TRACE_ENDS = ("Caused by:", "Suppressed:")
 # Non-deterministic reflection accessors synthesized by the JVM, e.g.
 #   sun.reflect.GeneratedMethodAccessor42.invoke(...)
 #   jdk.internal.reflect.GeneratedConstructorAccessor7.newInstance(...)
-# The generalisation to constructor accessors is deliberate; pass a custom
-# pattern to normalize() to tighten or widen the filter.
+# The generalisation to constructor accessors is deliberate.
 DEFAULT_NOISE_PATTERN = re.compile(
     r"(?:GeneratedMethodAccessor|GeneratedConstructorAccessor)\d+"
 )
@@ -75,12 +78,17 @@ def parse_frame(text: str) -> StackFrame:
 
     Accepted shapes: ``CLASS.METHOD(FILE:LINE)``, ``CLASS.METHOD(Native
     Method)``, and ``CLASS.METHOD(Unknown Source)``. METHOD is the last
-    dot-segment before the parenthesis.
+    dot-segment before the parenthesis. One trailing logback or log4j2
+    packaging suffix, such as `` ~[classes/:?]``, is dropped; ``raw`` is the
+    text without it.
     """
     stripped = text.strip()
     match = _FRAME_RE.match(stripped)
     if match is None:
-        raise MalformedFrame(f"frame does not fit the frame grammar: {text!r}")
+        stripped = _PACKAGING_RE.sub("", stripped, count=1)
+        match = _FRAME_RE.match(stripped)
+        if match is None:
+            raise MalformedFrame(f"frame does not fit the frame grammar: {text!r}")
     loc, where = match.groups()
     class_fqn, dot, method = loc.rpartition(".")
     if not dot:
@@ -181,19 +189,17 @@ def parse_failure_file(
     return parse_failure_text(raw, test, diagnostics)
 
 
-def normalize(
-    record: FailureRecord, noise_pattern: re.Pattern[str] = DEFAULT_NOISE_PATTERN
-) -> NormalizedFailure:
+def normalize(record: FailureRecord) -> NormalizedFailure:
     """Drop JVM reflection noise, then truncate the trace at the test boundary.
 
+    Noise is a frame whose class matches :data:`DEFAULT_NOISE_PATTERN`.
     Truncation keeps frames from the top through the first frame whose
     ``class.method`` starts with the test's full name; if there is none,
     through the last frame whose class equals the test's class; otherwise all
     surviving frames are kept. The boundary frame itself is kept.
     """
-    survivors = [
-        f for f in record.frames if not noise_pattern.search(f.class_fqn)
-    ]
+    noise = DEFAULT_NOISE_PATTERN.search
+    survivors = [f for f in record.frames if not noise(f.class_fqn)]
     test = record.test
     full = test.full_name()
     kept = survivors

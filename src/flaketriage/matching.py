@@ -82,24 +82,16 @@ class TriageVerdict:
     evidence: tuple[str, ...] = ()
 
 
-def _frame_key(frame, strip_line_numbers: bool) -> str:
-    if strip_line_numbers and frame.file is not None and frame.line is not None:
-        return f"{frame.class_fqn}.{frame.method}({frame.file})"
-    return frame.render()
-
-
 def signature(
     nf: NormalizedFailure,
     mode: MatchMode = MatchMode.FULL,
     scope: MatchScope = MatchScope.PER_TEST,
     known_tests: KnownTests | Iterable[TestId] = frozenset(),
-    strip_line_numbers: bool = False,
 ) -> FailureSignature:
     """Build the canonical signature of a normalized failure.
 
-    Frame keys are the rendered kept frames, line numbers included (line
-    numbers carry real signal; ``strip_line_numbers`` drops them for callers
-    that want coarser keys). Under CROSS_TEST scope, frames whose class
+    Frame keys are the rendered kept frames, line numbers included: two
+    failures that differ only in a line number do not match. Under CROSS_TEST scope, frames whose class
     equals the failure's own test class, or whose class.method is prefixed by
     any known test's full name, are removed before keying. Under
     EXCEPTION_ONLY mode there are no frame keys. Pass a :class:`KnownTests`
@@ -122,7 +114,7 @@ def signature(
                 if f.class_fqn != own_class
                 and not known.prefixes(f"{f.class_fqn}.{f.method}")
             )
-        keys = tuple(_frame_key(f, strip_line_numbers) for f in frames)
+        keys = tuple(f.render() for f in frames)
     return FailureSignature(nf.base.exception_type, keys, mode, scope)
 
 

@@ -244,6 +244,18 @@ def test_log_that_is_not_utf8_is_a_data_error(workdir, capsys, command):
     assert err == f"error: {log}: not UTF-8: byte 0xe9 at offset 29\n"
 
 
+def test_parse_reads_frames_with_packaging_suffixes(workdir, capsys):
+    plain = "java.lang.IllegalStateException: x\n\tat a.B.go(B.java:3)\n\tat a.B.test(B.java:1)\n"
+    (workdir / "plain.log").write_text(plain)
+    (workdir / "suffixed.log").write_text(plain.replace(")\n", ") ~[classes/:?]\n"))
+    args = ("parse", "--test", "a.B.test", "--project", "p", "--in")
+    code, out, err = run(capsys, *args, workdir / "suffixed.log")
+    assert (code, err) == (EXIT_OK, "")
+    assert "frames (2):" in out
+    assert "signature (full, per_test):\n  IllegalStateException\n  a.B.go(B.java:3)\n" in out
+    assert (code, out, err) == run(capsys, *args, workdir / "plain.log")
+
+
 def test_classify_warns_about_malformed_frames(workdir, capsys):
     log = (workdir / "failure.log").read_text()
     header, rest = log.split("\n", 1)

@@ -1,4 +1,5 @@
 """Metrics arithmetic, matching scores, cross-validation, exception tables."""
+import dataclasses
 import itertools
 
 import pytest
@@ -290,11 +291,12 @@ def test_stratified_cv_names_the_project_lacking_failures():
 
 
 def test_cv_deterministic_for_equal_seeds():
-    corpus = random_corpus(3, max_records=120)
-    a = stratified_cv(corpus, 3, match_trainer(), seed=11, min_flaky=3)
-    b = stratified_cv(corpus, 3, match_trainer(), seed=11, min_flaky=3)
+    corpus = random_corpus(7, max_records=120)  # two projects, 20+ flaky each
+    a = stratified_cv(corpus, 3, match_trainer(), seed=11)
+    b = stratified_cv(corpus, 3, match_trainer(), seed=11)
+    assert a.skipped == {} and len(a.per_project) == 2
     assert a.per_project == b.per_project
-    c = stratified_cv(corpus, 3, match_trainer(), seed=12, min_flaky=3)
+    c = stratified_cv(corpus, 3, match_trainer(), seed=12)
     assert c.per_project.keys() == a.per_project.keys()
 
 
@@ -371,11 +373,16 @@ def test_match_trainer_agrees_with_triage():
 
 
 def test_oversampled_trainers_stay_deterministic():
-    corpus = generate(_separable_config(seed=12))
-    trainer = tree_trainer(oversample_threshold=0.5, seed=4)
-    a = stratified_cv(corpus, 3, trainer, seed=4)
-    b = stratified_cv(corpus, 3, tree_trainer(oversample_threshold=0.5, seed=4), seed=4)
-    assert a.per_project == b.per_project
+    # 3 true failures to 60 flaky per project: under the 10% threshold.
+    config = dataclasses.replace(
+        _separable_config(seed=12), true_failures_per_test=CountDistribution.constant(1)
+    )
+    corpus = generate(config)
+    for trainer in (tree_trainer, bayes_trainer):
+        a = stratified_cv(corpus, 3, trainer(True, 4), seed=4)
+        b = stratified_cv(corpus, 3, trainer(True, 4), seed=4)
+        assert len(a.per_project) == 2
+        assert a.per_project == b.per_project
 
 
 def test_corpus_cv_result_aggregate():

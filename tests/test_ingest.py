@@ -201,9 +201,22 @@ def test_frames_share_one_object_per_name():
 
 
 def test_parse_frame_rejects_bad_shapes():
-    for text in ("noparens", "a.B.c(B.java)", "justamethod(B.java:1)", "a.B.c(B.java:x)"):
+    for text in (
+        "noparens", "a.B.c(B.java)", "justamethod(B.java:1)", "a.B.c(B.java:x)",
+        "a.B.c(B.java:1) ~[classes/:?", "a.B.c(B.java:1) [x] ~[y]",
+        "a.B.c(B.java:1)~[classes/:?]", "a.B.c(B.java:x) ~[classes/:?]",
+    ):
         with pytest.raises(MalformedFrame):
             parse_frame(text)
+
+
+@pytest.mark.parametrize("suffix", [
+    " ~[classes/:?]", " [junit-4.12.jar:4.12]", "\t~[?:1.8.0_292]", " ~[]",
+])
+@pytest.mark.parametrize("plain", ["a.B.test(B.java:1)", "a.B.run(Native Method)"])
+def test_parse_frame_drops_a_packaging_suffix(plain, suffix):
+    assert parse_frame(plain + suffix) == parse_frame(plain)
+    assert parse_frame(f"  {plain}{suffix}  ").raw == plain
 
 
 BOM = "\ufeff"
@@ -323,13 +336,6 @@ def test_normalize_keeps_all_without_test_frames():
     assert nf.kept_frames == frames
 
 
-def test_normalize_custom_noise_pattern():
-    test = TestId("p", "a.MyTest", "m")
-    frames = (frame("a.Proxy$7", "call", "Proxy.java", 3),)
-    nf = normalize(record(test, frames=frames), noise_pattern=re.compile(r"Proxy\$\d+"))
-    assert nf.kept_frames == ()
-
-
 @st.composite
 def arbitrary_records(draw):
     test_class = draw(st.sampled_from(["a.MyTest", "b.OtherTest"]))
@@ -393,6 +399,15 @@ def test_read_shares_one_frame_per_distinct_line(alluxio_xml):
     padded = alluxio_xml.replace(b"<line>", b"<line>\n  ", 1)
     first, second = read_corpus_xml(padded).records()
     assert first.frames[0] is second.frames[0]
+
+
+def test_read_line_with_a_packaging_suffix_as_the_plain_frame(alluxio_xml):
+    suffixed = alluxio_xml.replace(b"</line>", b" ~[classes/:?]</line>")
+    assert suffixed != alluxio_xml
+    assert read_corpus_xml(suffixed) == read_corpus_xml(alluxio_xml)
+    assert write_corpus_xml(read_corpus_xml(suffixed)) == (
+        write_corpus_xml(read_corpus_xml(alluxio_xml))
+    )
 
 
 def test_read_empty_corpus():

@@ -78,15 +78,12 @@ def test_signature_never_contains_message(alluxio_logs, alluxio_test):
     assert all("ip-172" not in key for key in (sig.exception_type, *sig.frame_keys))
 
 
-def test_signature_line_number_stripping_is_off_by_default():
+def test_signature_keys_keep_line_numbers():
     test = TestId("p", "a.T", "m")
     a = record(test, "E", frames=(frame("a.X", "f", "X.java", 1),))
     b = record(test, "E", frames=(frame("a.X", "f", "X.java", 2),))
     assert not matches(_sig(a), _sig(b))
-    stripped_a = signature(_nf(a), strip_line_numbers=True)
-    stripped_b = signature(_nf(b), strip_line_numbers=True)
-    assert matches(stripped_a, stripped_b)
-    assert stripped_a.frame_keys == ("a.X.f(X.java)",)
+    assert _sig(a).frame_keys == ("a.X.f(X.java:1)",)
 
 
 # --- matches ------------------------------------------------------------------
@@ -167,6 +164,19 @@ def test_triage_alluxio_pair(alluxio_logs, alluxio_test):
     assert verdict.predicted is Label.FLAKY
     assert verdict.basis is TriageBasis.MATCHED_FLAKY_ONLY
     assert verdict.evidence == ("alluxio/tachyon.JournalTest.TableTest/flaky[0]",)
+
+
+def test_triage_of_a_log_with_packaging_suffixes(alluxio_logs, alluxio_test):
+    history = _history((parse_failure_text(alluxio_logs[0], alluxio_test), Label.FLAKY))
+    plain = alluxio_logs[1]
+    suffixed = plain.replace(")\n", ") ~[classes/:?]\n")
+    assert suffixed.count("~[") == 6
+    verdicts = [
+        triage(_nf(parse_failure_text(raw, alluxio_test)), history)
+        for raw in (plain, suffixed)
+    ]
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0].basis is TriageBasis.MATCHED_FLAKY_ONLY
 
 
 def test_triage_empty_history_is_true_not_error():
