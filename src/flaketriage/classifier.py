@@ -218,12 +218,6 @@ def _grow(groups: list[tuple[tuple, int, int]]) -> _Split | _Leaf:
     )
 
 
-def _depth(node: _Split | _Leaf) -> int:
-    if isinstance(node, _Leaf):
-        return 0
-    return 1 + max(_depth(node.match), _depth(node.other))
-
-
 class DecisionTreeModel:
     """Greedy binary tree over the six features, split by Gini reduction.
 
@@ -232,9 +226,8 @@ class DecisionTreeModel:
     perfectly. Unseen exception values follow the not-equal branches.
     """
 
-    def __init__(self, root: _Split | _Leaf, training_summary: dict) -> None:
+    def __init__(self, root: _Split | _Leaf) -> None:
         self._root = root
-        self.training_summary = training_summary
 
     def predict(self, fv: FeatureVector) -> Label:
         node = self._root
@@ -251,16 +244,7 @@ def train_decision_tree(data: Sequence[Sample]) -> DecisionTreeModel:
     """Train a decision tree; leaves predict the majority label, ties true."""
     if not data:
         raise EmptyDataset("cannot train a decision tree on no samples")
-    groups = _groups(data)
-    root = _grow(groups)
-    n_flaky = sum(g[1] for g in groups)
-    summary = {
-        "n_samples": len(data),
-        "n_flaky": n_flaky,
-        "n_true": len(data) - n_flaky,
-        "depth": _depth(root),
-    }
-    return DecisionTreeModel(root, summary)
+    return DecisionTreeModel(_grow(_groups(data)))
 
 
 # --- naive bayes -----------------------------------------------------------
@@ -282,8 +266,6 @@ class NaiveBayesModel:
         categories: dict[str, tuple[str, ...]],
     ) -> None:
         total = sum(class_counts.values())
-        if not total > 0 or min(class_counts.values()) < 0:
-            raise ValueError(f"class counts must hold samples, got {class_counts}")
         self._class_counts = class_counts
         self._value_counts = value_counts
         self._categories = categories
@@ -301,12 +283,6 @@ class NaiveBayesModel:
                         for value, count in seen
                     }, math.log(SMOOTHING / denominator)))
                 self._tables[label] = (math.log(n_label / total), likelihoods)
-        self.training_summary = {
-            "n_samples": total,
-            "n_flaky": class_counts.get(Label.FLAKY, 0),
-            "n_true": class_counts.get(Label.TRUE, 0),
-            "smoothing": SMOOTHING,
-        }
 
     def _score(self, label: Label, fv: FeatureVector) -> float:
         score, likelihoods = self._tables[label]
@@ -364,7 +340,7 @@ def oversample(data: Sequence[Sample], seed: int = 0) -> list[Sample]:
         return out
     minority, n_minority = min(counts.items(), key=lambda kv: (kv[1], kv[0].value))
     n_majority = max(counts.values())
-    if n_majority == 0 or n_minority / n_majority >= OVERSAMPLE_THRESHOLD:
+    if n_minority / n_majority >= OVERSAMPLE_THRESHOLD:
         return out
     pool = [sample for sample in data if sample[1] is minority]
     needed = math.ceil(OVERSAMPLE_THRESHOLD * n_majority) - n_minority

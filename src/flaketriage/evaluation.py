@@ -98,18 +98,11 @@ def format_metric(value: float | None) -> str:
 
 @dataclass(frozen=True)
 class ScoreResult:
-    """Corpus-wide confusion matrix plus per-test TP/FN presence flags."""
+    """Confusion matrix plus the numbers of tests with a TP and with an FN."""
 
     matrix: ConfusionMatrix
-    per_test: dict[TestId, tuple[bool, bool]]
-
-    @property
-    def tests_with_tp(self) -> int:
-        return sum(1 for has_tp, _ in self.per_test.values() if has_tp)
-
-    @property
-    def tests_with_fn(self) -> int:
-        return sum(1 for _, has_fn in self.per_test.values() if has_fn)
+    tests_with_tp: int
+    tests_with_fn: int
 
 
 def _record_outcomes(
@@ -141,19 +134,14 @@ def score_project(
 ) -> ScoreResult:
     """Score every labeled failure of one project against the rest of its scope."""
     index = project_index(corpus, project)
-    counts = Counter()
-    per_test: dict[TestId, list[bool]] = {}
-    for record, outcome in zip(index.records, _record_outcomes(index, mode, scope)):
-        counts[outcome] += 1
-        flags = per_test.setdefault(record.test, [False, False])
-        if outcome == "tp":
-            flags[0] = True
-        elif outcome == "fn":
-            flags[1] = True
+    outcomes = _record_outcomes(index, mode, scope)
+    counts = Counter(outcomes)
+    # Per outcome, the number of tests with at least one record of it.
+    tests = Counter(o for _, o in set(zip((r.test for r in index.records), outcomes)))
     matrix = ConfusionMatrix(
         counts["tp"], counts["fn"], counts["fp"], counts["tn"]
     )
-    return ScoreResult(matrix, {t: (a, b) for t, (a, b) in per_test.items()})
+    return ScoreResult(matrix, tests["tp"], tests["fn"])
 
 
 def score_matching(
@@ -162,13 +150,12 @@ def score_matching(
     scope: MatchScope = MatchScope.PER_TEST,
 ) -> ScoreResult:
     """Score every labeled failure against the rest of its scope."""
-    matrix = ConfusionMatrix()
-    per_test: dict[TestId, tuple[bool, bool]] = {}
-    for project in corpus.project_names():
-        result = score_project(corpus, project, mode, scope)
-        matrix = matrix + result.matrix
-        per_test.update(result.per_test)
-    return ScoreResult(matrix, per_test)
+    results = [score_project(corpus, p, mode, scope) for p in corpus.project_names()]
+    return ScoreResult(
+        sum((r.matrix for r in results), ConfusionMatrix()),
+        sum(r.tests_with_tp for r in results),
+        sum(r.tests_with_fn for r in results),
+    )
 
 
 def distinct_signature_counts(corpus: Corpus, project: str) -> tuple[int, int]:

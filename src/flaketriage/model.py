@@ -1,9 +1,8 @@
 """Core domain types: stack frames, test identities, failure records, corpora.
 
 Everything in this module is an immutable value object except Corpus, which
-is the single mutable container. A Corpus expects one writer while it is
-being built; once construction is done it can be read from any number of
-threads.
+is the single mutable container. Nothing in the package starts a thread: a
+Corpus is built and then read by one thread.
 """
 from __future__ import annotations
 
@@ -186,16 +185,16 @@ class Corpus:
         tests = self._projects.setdefault(record.test.project, {})
         buckets = tests.setdefault(record.test, {Label.FLAKY: [], Label.TRUE: []})
         buckets[record.label].append(record)
-        # A new dict rather than clear(): a build that began before this add
-        # stores its stale value into the old dict, which nothing reads.
+        # A new dict rather than clear(): if this add runs inside a
+        # ``derived`` build, that build's value goes into the old dict, which
+        # nothing reads.
         self._derived = {}
 
     def derived(self, key: Hashable, build: Callable[[], _T]) -> _T:
         """``build()``'s value, computed once per ``key`` until the next add.
 
         ``build`` must compute the value from this corpus's records alone.
-        Concurrent readers may each run ``build`` for the same key; as each
-        sees the same records, any of their values can be kept.
+        The corpus is read by one thread, so each key is built once.
         """
         memo = self._derived
         try:

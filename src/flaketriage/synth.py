@@ -83,13 +83,6 @@ class CountDistribution:
             return self.b > 0
         return True
 
-    def to_dict(self) -> dict:
-        if self.kind == "constant":
-            return {"constant": int(self.a)}
-        if self.kind == "uniform":
-            return {"uniform": [int(self.a), int(self.b)]}
-        return {"geometric": self.a}
-
     @classmethod
     def from_dict(cls, data: dict, name: str = "distribution") -> CountDistribution:
         if not isinstance(data, dict) or len(data) != 1:
@@ -187,33 +180,6 @@ class GeneratorConfig:
             spec.eligible(Label.TRUE) for spec in self.exception_pool
         ):
             raise InvalidConfig("no exception_pool entry is eligible for true failures")
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "projects": self.projects,
-            "tests_per_project": self.tests_per_project.to_dict(),
-            "flaky_signatures_per_test": self.flaky_signatures_per_test.to_dict(),
-            "flaky_occurrences_per_signature": (
-                self.flaky_occurrences_per_signature.to_dict()
-            ),
-            "true_failures_per_test": self.true_failures_per_test.to_dict(),
-            "exception_pool": [
-                {
-                    "name": spec.name,
-                    "weight": spec.weight,
-                    "shared_across_labels": spec.shared_across_labels,
-                    **(
-                        {"only_label": spec.only_label.value}
-                        if spec.only_label is not None
-                        else {}
-                    ),
-                }
-                for spec in self.exception_pool
-            ],
-            "volatile_message_tokens": self.volatile_message_tokens,
-            "frame_depth": list(self.frame_depth),
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> GeneratorConfig:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from flaketriage.classifier import (
     FeatureVector,
     NaiveBayesModel,
+    _Leaf,
+    _Split,
     default_cut_prefixes,
     extract_features,
     oversample,
@@ -125,7 +127,12 @@ def _separable_data():
 
 def test_tree_single_split_on_separating_exception():
     model = train_decision_tree(_separable_data())
-    assert model.training_summary["depth"] == 1
+    assert model._root == _Split(
+        "exception_type",
+        "UnknownHostException",
+        _Leaf(Label.FLAKY, 2, 0),
+        _Leaf(Label.TRUE, 0, 2),
+    )
     for features, label in _separable_data():
         assert model.predict(features) is label
 
@@ -138,7 +145,7 @@ def test_tree_unseen_category_follows_not_equal_branch():
 def test_tree_identical_vectors_mixed_labels_is_constant():
     data = [(fv(), Label.FLAKY), (fv(), Label.TRUE), (fv(), Label.TRUE)]
     model = train_decision_tree(data)
-    assert model.training_summary["depth"] == 0
+    assert model._root == _Leaf(Label.TRUE, 1, 2)
     assert model.predict(fv()) is Label.TRUE
     assert model.predict(fv("Other")) is Label.TRUE
 
@@ -256,19 +263,6 @@ def test_bayes_rejects_empty_data():
         train_naive_bayes([])
 
 
-@pytest.mark.parametrize(
-    "class_counts",
-    [
-        pytest.param({}, id="no-labels"),
-        pytest.param({Label.FLAKY: 0, Label.TRUE: 0}, id="no-samples"),
-        pytest.param({Label.FLAKY: 5, Label.TRUE: -5}, id="negative-count"),
-    ],
-)
-def test_bayes_model_rejects_class_counts_without_samples(class_counts):
-    with pytest.raises(ValueError, match="class counts must hold samples"):
-        NaiveBayesModel(class_counts, {}, {})
-
-
 @pytest.mark.parametrize("label", [Label.FLAKY, Label.TRUE])
 def test_bayes_model_with_samples_of_one_label_predicts_that_label(label):
     fitted = train_naive_bayes(_separable_data())
@@ -318,13 +312,21 @@ def test_oversample_single_class_is_a_no_op():
     assert oversample(data) == data
 
 
-# --- training summaries ----------------------------------------------------------
+# --- tree shape ------------------------------------------------------------------
 
 
-def test_models_have_training_summaries():
-    tree = train_decision_tree(_separable_data())
-    bayes = train_naive_bayes(_separable_data())
-    assert tree.training_summary["n_samples"] == 4
-    assert tree.training_summary["n_flaky"] == 2
-    assert "depth" in tree.training_summary
-    assert bayes.training_summary["smoothing"] == 1.0
+def _leaves(node):
+    if isinstance(node, _Leaf):
+        return [node]
+    return _leaves(node.match) + _leaves(node.other)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_tree_leaves_count_every_training_sample_once(seed):
+    data = _random_consistent_dataset(random.Random(seed))
+    leaves = _leaves(train_decision_tree(data)._root)
+    n_flaky = sum(1 for _, label in data if label is Label.FLAKY)
+    assert sum(leaf.n_flaky for leaf in leaves) == n_flaky
+    assert sum(leaf.n_true for leaf in leaves) == len(data) - n_flaky
+    # Consistent data ends in pure leaves, each predicting its own samples.
+    assert all(not (leaf.n_flaky and leaf.n_true) for leaf in leaves)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import flaketriage
+from flaketriage import evaluation
 from flaketriage.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -18,8 +19,11 @@ from flaketriage.cli import (
     build_parser,
     main,
 )
+from flaketriage.errors import InsufficientTrue
 from flaketriage.evaluation import DEFAULT_FOLDS
-from flaketriage.ingest import read_corpus_xml
+from flaketriage.ingest import read_corpus_xml, write_corpus_xml
+from flaketriage.model import Corpus, Label
+from flaketriage.synth import GeneratorConfig, generate
 
 from conftest import (
     ALLUXIO_MESSAGE_2,
@@ -491,6 +495,65 @@ def test_evaluate_skips_small_projects(workdir, capsys):
     )
     assert code == EXIT_OK
     assert "skipped alluxio: fewer than 10 flaky failures (2)" in out
+
+
+# `evaluate` runs the per-project CV step itself; these pin it to
+# `evaluation.stratified_cv` with the same trainer, k and seed.
+CV_CALLS = [
+    pytest.param(("--method", "tree"), evaluation.tree_trainer, (), DEFAULT_FOLDS, 0,
+                 id="tree"),
+    pytest.param(("--method", "bayes", "--oversample", "--k", "3", "--seed", "4"),
+                 evaluation.bayes_trainer, (True, 4), 3, 4, id="bayes-oversample"),
+]
+
+
+def _cv_corpus(path, true_kept=None):
+    """The generated corpus with proj01 cut to 4 flaky failures, so CV skips
+    it, and proj00's true failures to the first ``true_kept``."""
+    generated = generate(GeneratorConfig.from_dict(GENERATOR_CONFIG))
+    corpus = Corpus()
+    for project, kept in (("proj00", (None, true_kept)), ("proj01", (4, None))):
+        for label, n in zip((Label.FLAKY, Label.TRUE), kept):
+            corpus.add_all(list(generated.records(project, label))[:n])
+    path.write_bytes(write_corpus_xml(corpus))
+    return read_corpus_xml(path.read_bytes())
+
+
+@pytest.mark.parametrize("argv, make_trainer, options, k, seed", CV_CALLS)
+def test_evaluate_cv_section_is_stratified_cv(
+    tmp_path, capsys, argv, make_trainer, options, k, seed
+):
+    path = tmp_path / "cv.xml"
+    corpus = _cv_corpus(path)
+    result = evaluation.stratified_cv(corpus, k, make_trainer(*options), seed)
+    assert sorted(result.per_project) == ["proj00"]
+    assert result.skipped == {"proj01": "fewer than 10 flaky failures (4)"}
+    counts = {
+        name: (len(corpus.tests(name)), corpus.count(name, Label.FLAKY),
+               corpus.count(name, Label.TRUE))
+        for name in result.per_project
+    }
+    want = "\n\n".join(
+        [evaluation.render_cv_table(result, counts)]
+        + [f"skipped {name}: {why}" for name, why in sorted(result.skipped.items())]
+    )
+    code, out, _ = run(capsys, "evaluate", "--corpus", path, *argv)
+    assert code == EXIT_OK
+    # Between the CLI's heading and the exception tables.
+    assert out.split("\n\n", 1)[1].split("\n\n== exceptions", 1)[0] == want
+
+
+@pytest.mark.parametrize("argv, make_trainer, options, k, seed", CV_CALLS)
+def test_evaluate_cv_error_is_stratified_cvs(
+    tmp_path, capsys, argv, make_trainer, options, k, seed
+):
+    path = tmp_path / "cv.xml"
+    corpus = _cv_corpus(path, true_kept=2)
+    with pytest.raises(InsufficientTrue) as excinfo:
+        evaluation.stratified_cv(corpus, k, make_trainer(*options), seed)
+    assert str(excinfo.value).startswith("project 'proj00': ")
+    code, out, err = run(capsys, "evaluate", "--corpus", path, *argv)
+    assert (code, out, err) == (EXIT_DATA, "", f"error: {excinfo.value}\n")
 
 
 def test_evaluate_deterministic_output(synth_corpus, capsys):

@@ -41,6 +41,24 @@ def config(**overrides) -> GeneratorConfig:
     return GeneratorConfig(**base)
 
 
+# ``config()`` written as a generator config file.
+CONFIG_DOCUMENT = {
+    "seed": 7,
+    "projects": 2,
+    "tests_per_project": {"constant": 3},
+    "flaky_signatures_per_test": {"uniform": [1, 2]},
+    "flaky_occurrences_per_signature": {"geometric": 0.4},
+    "true_failures_per_test": {"constant": 4},
+    "exception_pool": [
+        {"name": "UnknownHostException", "weight": 3.0},
+        {"name": "AssertionError", "weight": 1.0, "shared_across_labels": True},
+        {"name": "NullPointerException", "weight": 2.0, "only_label": "true"},
+    ],
+    "volatile_message_tokens": True,
+    "frame_depth": [3, 8],
+}
+
+
 def test_equal_configs_generate_equal_corpora():
     assert generate(config()) == generate(config())
     assert write_corpus_xml(generate(config())) == write_corpus_xml(generate(config()))
@@ -160,10 +178,9 @@ def test_generated_corpora_are_nontrivially_shaped():
 
 
 def test_config_json_round_trip(tmp_path):
-    original = config()
     path = tmp_path / "generator.json"
-    path.write_text(json.dumps(original.to_dict()), encoding="utf-8")
-    assert GeneratorConfig.from_json_file(path) == original
+    path.write_text(json.dumps(CONFIG_DOCUMENT), encoding="utf-8")
+    assert GeneratorConfig.from_json_file(path) == config()
 
 
 @pytest.mark.parametrize(
@@ -215,7 +232,7 @@ def test_config_from_dict_reports_missing_fields():
 
 
 def config_json(**overrides) -> bytes:
-    return json.dumps({**config().to_dict(), **overrides}).encode("utf-8")
+    return json.dumps({**CONFIG_DOCUMENT, **overrides}).encode("utf-8")
 
 
 @pytest.mark.parametrize(
