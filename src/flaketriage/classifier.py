@@ -266,9 +266,6 @@ class NaiveBayesModel:
         categories: dict[str, tuple[str, ...]],
     ) -> None:
         total = sum(class_counts.values())
-        self._class_counts = class_counts
-        self._value_counts = value_counts
-        self._categories = categories
         # Per label: its log prior, and per feature the log likelihood of
         # each value seen under the label and that of any other value.
         self._tables: dict[Label, tuple[float, list]] = {}

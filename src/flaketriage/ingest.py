@@ -30,6 +30,10 @@ _SOURCE_RE = re.compile(r"^(?P<file>[^:]+):(?P<line>\d+)$")
 #   org.junit.runners.ParentRunner.run(ParentRunner.java:363) [junit-4.12.jar:4.12]
 _PACKAGING_RE = re.compile(r"\s+~?\[[^\[\]]*\]$")
 _NO_SOURCE = ("Native Method", "Unknown Source")
+# The class loader and module JDK 9+ print before a class, e.g. "app//" or
+# "java.base@11.0.2/". A digit follows the "/" of a hidden class name, e.g.
+# a.B$$Lambda$1/0x0000000800c8c440, so that "/" is kept.
+_MODULE_RE = re.compile(r"(?:[^/]*/){1,2}(?=[A-Za-z_$])")
 
 # What the JVM's default handler writes before an uncaught exception, e.g.
 #   Exception in thread "main" java.lang.RuntimeException: boom
@@ -79,8 +83,9 @@ def parse_frame(text: str) -> StackFrame:
     Accepted shapes: ``CLASS.METHOD(FILE:LINE)``, ``CLASS.METHOD(Native
     Method)``, and ``CLASS.METHOD(Unknown Source)``. METHOD is the last
     dot-segment before the parenthesis. One trailing logback or log4j2
-    packaging suffix, such as `` ~[classes/:?]``, is dropped; ``raw`` is the
-    text without it.
+    packaging suffix, such as `` ~[classes/:?]``, and the class loader and
+    module prefix of JDK 9+, such as ``app//`` or ``java.base/``, are
+    dropped; ``raw`` is the text without them.
     """
     stripped = text.strip()
     match = _FRAME_RE.match(stripped)
@@ -90,6 +95,8 @@ def parse_frame(text: str) -> StackFrame:
         if match is None:
             raise MalformedFrame(f"frame does not fit the frame grammar: {text!r}")
     loc, where = match.groups()
+    if "/" in loc and (module := _MODULE_RE.match(loc)) is not None:
+        loc, stripped = loc[module.end():], stripped[module.end():]
     class_fqn, dot, method = loc.rpartition(".")
     if not dot:
         raise MalformedFrame(f"frame has no class.method location: {text!r}")

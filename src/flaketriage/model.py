@@ -2,7 +2,7 @@
 
 Everything in this module is an immutable value object except Corpus, which
 is the single mutable container. Nothing in the package starts a thread: a
-Corpus is built and then read by one thread.
+Corpus is built by one writer and is then safe to read from many threads.
 """
 from __future__ import annotations
 
@@ -194,7 +194,7 @@ class Corpus:
         """``build()``'s value, computed once per ``key`` until the next add.
 
         ``build`` must compute the value from this corpus's records alone.
-        The corpus is read by one thread, so each key is built once.
+        Concurrent readers may each build a missing key, to equal values.
         """
         memo = self._derived
         try:

@@ -4,7 +4,6 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
@@ -110,7 +109,7 @@ def _document_frequencies(corpus: list[TokenDocument]) -> Counter[str]:
 
 def _weights(
     doc: TokenDocument,
-    frequencies: Counter[str],
+    frequencies: dict[str, int],
     corpus_size: int,
     log_base: float | None,
 ) -> WeightedVector:
@@ -154,22 +153,17 @@ def cosine(u: WeightedVector, v: WeightedVector) -> float:
 
 @dataclass(frozen=True, slots=True)
 class _Document:
-    """One distinct token document of a project's history.
-
-    ``squares`` holds the squared weight of each of its terms, in sorted-term
-    order, as they are when the query lacks the term.
-    """
+    """One distinct token document of a project's history."""
 
     members: tuple[tuple[str, Label], ...]
-    squares: array  # of doubles, which take less memory than float objects
+    tokens: tuple[str, ...]  # one object per term, the index's postings key
 
 
 @dataclass(frozen=True, slots=True)
 class _Postings:
-    """The documents holding one term, with the term's place and tf in each."""
+    """The documents holding one term, with the term's tf in each."""
 
     documents: list[int] = field(default_factory=list)
-    places: list[int] = field(default_factory=list)  # indexes into squares
     tfs: list[float] = field(default_factory=list)
 
 
@@ -178,19 +172,19 @@ class TfidfIndex:
 
     Records with identical token documents share one document, since they get
     identical vectors and so identical similarities; its members are kept in
-    history order. Every query joins the corpus, so the corpus holds ``n + 1``
-    documents and the query raises the document frequency of its own terms
-    by one. Each document therefore stores its squared weights under the
-    query-free idf ``log((n + 1) / df)``, and a query corrects only its own
-    terms.
+    history order, and its tokens. Every query joins the corpus, so the corpus
+    holds ``n + 1`` documents and the query raises the document frequency of
+    its own terms by one. Each document therefore keeps its squared norm under
+    the query-free idf ``log((n + 1) / df)``, and a query corrects only its
+    own terms.
 
     Scoring walks the postings of the query's terms: only documents sharing
     a term of non-zero query weight can have a non-zero similarity. That walk
     gives each such document an upper bound on its similarity, from its
-    query-free squared norm kept here, and only documents whose bound can
-    reach the best score so far are scored exactly. An exact score sums in
-    sorted-term order, as :func:`cosine` does, so every similarity is the
-    same float :func:`cosine` gives and ties are exact float equality.
+    query-free squared norm, and only documents whose bound can reach the
+    best score so far are scored exactly. An exact score is :func:`cosine` of
+    the query's and the document's :func:`_weights` vectors, the float the
+    unindexed computation gives, so ties are exact float equality.
     """
 
     def __init__(
@@ -212,16 +206,17 @@ class TfidfIndex:
             elif self.empty_id is None:
                 self.empty_id = record_id
 
-        counted = [(members, Counter(tokens), len(tokens))
+        counted = [(tokens, members, Counter(tokens))
                    for tokens, members in groups.items()]
         self.frequencies: Counter[str] = Counter()
-        for members, counts, _ in counted:
+        for _, members, counts in counted:
             for term in counts:
                 self.frequencies[term] += len(members)
         idfs = {
             term: _log((self.size + 1) / containing, log_base)
             for term, containing in self.frequencies.items()
         }
+        canonical = {term: term for term in self.frequencies}
 
         self.documents: list[_Document] = []
         self.postings: dict[str, _Postings] = {}
@@ -229,64 +224,37 @@ class TfidfIndex:
         self._widest = 0  # the most distinct terms of any document
         # Equal term frequencies recur across documents; they share a float.
         shared: dict[tuple[int, int], float] = {}
-        for position, (members, counts, total) in enumerate(counted):
+        for position, (tokens, members, counts) in enumerate(counted):
             squares = []
-            for place, term in enumerate(sorted(counts)):
+            for term in sorted(counts):
                 count = counts[term]
-                tf = shared.setdefault((count, total), count / total)
+                tf = shared.setdefault((count, len(tokens)), count / len(tokens))
                 weight = tf * idfs[term]
                 squares.append(weight * weight)
                 postings = self.postings.get(term)
                 if postings is None:
                     postings = self.postings[term] = _Postings()
                 postings.documents.append(position)
-                postings.places.append(place)
                 postings.tfs.append(tf)
-            self.documents.append(_Document(tuple(members), array("d", squares)))
+            tokens = tuple(canonical[term] for term in tokens)
+            self.documents.append(_Document(tuple(members), tokens))
             self._norms.append(sum(squares))
             self._widest = max(self._widest, len(squares))
 
-    def _similarity(
-        self,
-        position: int,
-        terms: list[str],
-        weights: WeightedVector,
-        idfs: dict[str, float],
-        query_norm: float,
-    ) -> float:
-        """The document's cosine with the query, the float :func:`cosine` gives."""
-        squares = self.documents[position].squares[:]
-        products = []
-        for term in terms:
-            postings = self.postings.get(term)
-            if postings is None:
-                continue
-            at = bisect_left(postings.documents, position)
-            if at == len(postings.documents) or postings.documents[at] != position:
-                continue
-            doc_weight = postings.tfs[at] * idfs[term]
-            squares[postings.places[at]] = doc_weight * doc_weight
-            if weights[term]:
-                products.append(weights[term] * doc_weight)
-        return sum(products) / (query_norm * math.sqrt(sum(squares)))
+    def _similarity(self, position: int, query: WeightedVector) -> float:
+        """The :func:`cosine` of the document's vector with the query's."""
+        document = TokenDocument("", self.documents[position].tokens)
+        frequencies = {t: self.frequencies[t] + (t in query) for t in document.tokens}
+        return cosine(query, _weights(document, frequencies, self.size + 1, self.log_base))
 
     def classify(self, query: FailureRecord) -> TriageVerdict:
         """The verdict :func:`classify_nn` gives ``query`` against this history."""
         if not self.size:
             raise EmptyHistory(f"no labeled failures for project {self.project!r}")
-        tokens = tokenize(query, "query").tokens
-        if not tokens:
-            raise EmptyDocument("document 'query' has no tokens")
-        counts = Counter(tokens)
+        document = tokenize(query, "query")
         size = self.size + 1
-        idfs = {
-            term: _log(size / (self.frequencies[term] + 1), self.log_base)
-            for term in counts
-        }
-        weights = {
-            term: (count / len(tokens)) * idfs[term]
-            for term, count in counts.items()
-        }
+        frequencies = {term: self.frequencies[term] + 1 for term in document.tokens}
+        weights = _weights(document, frequencies, size, self.log_base)
         if all(weight == 0.0 for weight in weights.values()):
             return TriageVerdict(Label.TRUE, TriageBasis.MATCHED_NONE)
         if self.empty_id is not None:
@@ -304,7 +272,7 @@ class TfidfIndex:
             postings = self.postings.get(term)
             if postings is None:
                 continue
-            idf = idfs[term]
+            idf = _log(size / frequencies[term], self.log_base)
             old = _log(size / self.frequencies[term], self.log_base)
             scale, cut = weights[term] * idf, idf * idf - old * old
             for position, tf in zip(postings.documents, postings.tfs):
@@ -334,7 +302,7 @@ class TfidfIndex:
         for position in order:
             if bounds[position] < best:
                 break
-            score = self._similarity(position, terms, weights, idfs, query_norm)
+            score = self._similarity(position, weights)
             if score > best:
                 best, tops = score, [position]
             elif score == best:

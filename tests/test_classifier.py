@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from flaketriage.classifier import (
     FeatureVector,
     NaiveBayesModel,
+    _FEATURES,
     _Leaf,
     _Split,
     default_cut_prefixes,
@@ -265,9 +266,16 @@ def test_bayes_rejects_empty_data():
 
 @pytest.mark.parametrize("label", [Label.FLAKY, Label.TRUE])
 def test_bayes_model_with_samples_of_one_label_predicts_that_label(label):
-    fitted = train_naive_bayes(_separable_data())
     class_counts = {Label.FLAKY: 0, Label.TRUE: 0, label: 3}
-    model = NaiveBayesModel(class_counts, fitted._value_counts, fitted._categories)
+    value_counts = {
+        feature: {Label.FLAKY: {}, Label.TRUE: {}, label: {"False": 3}}
+        for feature in _FEATURES
+    }
+    value_counts["exception_type"][label] = {"UnknownHostException": 2, "AssertionError": 1}
+    categories = {
+        feature: tuple(sorted(counts[label])) for feature, counts in value_counts.items()
+    }
+    model = NaiveBayesModel(class_counts, value_counts, categories)
     for exception in ("UnknownHostException", "AssertionError", "anything"):
         assert model.predict(fv(exception)) is label
 

@@ -260,6 +260,25 @@ def test_parse_reads_frames_with_packaging_suffixes(workdir, capsys):
     assert (code, out, err) == run(capsys, *args, workdir / "plain.log")
 
 
+def test_parse_reads_jdk9_frames_as_their_jdk8_form(workdir, capsys):
+    jdk11 = (
+        "java.net.UnknownHostException: x\n"
+        "\tat java.base/java.net.InetAddress.getLocalHost(InetAddress.java:1642)\n"
+        "\tat app//tachyon.LocalTachyonCluster.start(LocalTachyonCluster.java:104)\n"
+        "\tat app//tachyon.JournalTest.TableTest(JournalTest.java:33)\n"
+        "\tat java.base/jdk.internal.reflect.NativeMethodAccessorImpl.invoke0(Native Method)\n"
+        "\tat app//org.junit.runners.model.FrameworkMethod$1.runReflectiveCall(FrameworkMethod.java:50)\n"
+    )
+    (workdir / "jdk11.log").write_text(jdk11)
+    (workdir / "jdk8.log").write_text(re.sub(r"at (app/|java\.base)/", "at ", jdk11))
+    args = ("parse", "--test", "tachyon.JournalTest.TableTest", "--project", "alluxio", "--in")
+    code, out, err = run(capsys, *args, workdir / "jdk11.log")
+    assert (code, err) == (EXIT_OK, "")
+    assert "kept after normalization (3, basis=test_method_frame):" in out
+    assert "/" not in out
+    assert (code, out, err) == run(capsys, *args, workdir / "jdk8.log")
+
+
 def test_classify_warns_about_malformed_frames(workdir, capsys):
     log = (workdir / "failure.log").read_text()
     header, rest = log.split("\n", 1)

@@ -219,6 +219,28 @@ def test_parse_frame_drops_a_packaging_suffix(plain, suffix):
     assert parse_frame(f"  {plain}{suffix}  ").raw == plain
 
 
+@pytest.mark.parametrize("prefix", [
+    "app//", "java.base/", "java.base@11.0.2/", "com.foo.loader/foo@9.0/",
+])
+@pytest.mark.parametrize("plain", [
+    "a.B.test(B.java:1)", "a.B.run(Native Method)",
+    "a.B$$Lambda$14/0x0000000800c8c440.run(Unknown Source)",
+])
+def test_parse_frame_drops_a_jdk9_loader_and_module_prefix(plain, prefix):
+    assert parse_frame(prefix + plain) == parse_frame(plain)
+    assert parse_frame(f"  {prefix}{plain} ~[classes/:?]  ").raw == plain
+
+
+@pytest.mark.parametrize("text", [
+    "a.B$$Lambda$1/1831932724.run(Unknown Source)",
+    "a.B$$Lambda$14/0x0000000800c8c440.run(Unknown Source)",
+])
+def test_parse_frame_keeps_the_slash_of_a_hidden_class(text):
+    parsed = parse_frame(text)
+    assert parsed.raw == text
+    assert parsed.class_fqn + ".run" == text.partition("(")[0]
+
+
 BOM = "\ufeff"
 LATIN1_LOG = b"java.lang.AssertionError: caf\xe9\n\tat a.B.test(B.java:1)\n"
 
@@ -408,6 +430,13 @@ def test_read_line_with_a_packaging_suffix_as_the_plain_frame(alluxio_xml):
     assert write_corpus_xml(read_corpus_xml(suffixed)) == (
         write_corpus_xml(read_corpus_xml(alluxio_xml))
     )
+
+
+def test_read_line_with_a_jdk9_prefix_as_the_plain_frame(alluxio_xml):
+    prefixed = alluxio_xml.replace(b"<line>java.", b"<line>java.base/java.")
+    prefixed = prefixed.replace(b"<line>tachyon.", b"<line>app//tachyon.")
+    assert prefixed.count(b"/java.") == 8 and prefixed.count(b"//tachyon.") == 4
+    assert read_corpus_xml(prefixed) == read_corpus_xml(alluxio_xml)
 
 
 def test_read_empty_corpus():

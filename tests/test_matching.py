@@ -179,6 +179,19 @@ def test_triage_of_a_log_with_packaging_suffixes(alluxio_logs, alluxio_test):
     assert verdicts[0].basis is TriageBasis.MATCHED_FLAKY_ONLY
 
 
+def test_triage_of_a_log_with_jdk9_frames(alluxio_logs, alluxio_test):
+    history = _history((parse_failure_text(alluxio_logs[0], alluxio_test), Label.FLAKY))
+    plain = alluxio_logs[1]
+    prefixed = plain.replace("at java.", "at java.base/java.").replace("at tachyon.", "at app//tachyon.")
+    assert prefixed.count("/java.") == 4 and prefixed.count("//tachyon.") == 2
+    verdicts = [
+        triage(_nf(parse_failure_text(raw, alluxio_test)), history)
+        for raw in (plain, prefixed)
+    ]
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0].basis is TriageBasis.MATCHED_FLAKY_ONLY
+
+
 def test_triage_empty_history_is_true_not_error():
     rec = record(TestId("p", "a.T", "m"), "E")
     verdict = triage(_nf(rec), Corpus())

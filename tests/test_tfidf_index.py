@@ -455,6 +455,18 @@ def test_index_counts_the_same_tokens_as_tokenize(seed):
         assert len(index.documents) == len({d.tokens for d in docs if d.tokens})
 
 
+@pytest.mark.parametrize("seed", range(0, 100, 10))
+def test_documents_hold_the_postings_key_of_each_term(seed):
+    # One string object per term, however many lines and documents hold it:
+    # the tokens as built would keep a copy of each term per distinct line.
+    corpus = random_corpus(seed)
+    for project in corpus.project_names():
+        index = TfidfIndex(corpus, project)
+        keys = {term: term for term in index.postings}
+        for document in index.documents:
+            assert all(keys[token] is token for token in document.tokens)
+
+
 # --- log base ----------------------------------------------------------------
 
 
