@@ -235,8 +235,8 @@ def _cmd_classify(args) -> int:
             if args.method == "tree"
             else evaluation.bayes_trainer()
         )
-        predictor = trainer(list(corpus.records(project)))
-        predicted = predictor(record)
+        predictor = trainer(evaluation.project_index(corpus, project).normalized)
+        predicted = predictor(normalize(record))
         detail = "decision_tree" if args.method == "tree" else "naive_bayes"
 
     print(f"{predicted} ({detail})")
@@ -286,15 +286,14 @@ def _cmd_evaluate(args) -> int:
         per_project = {}
         skipped = {}
         for project in projects:
-            flaky = list(corpus.records(project, Label.FLAKY))
-            true = list(corpus.records(project, Label.TRUE))
+            flaky, true = evaluation.labeled_failures(corpus, project)
             if len(flaky) < evaluation.MIN_FLAKY_FOR_CV:
                 skipped[project] = (
                     f"fewer than {evaluation.MIN_FLAKY_FOR_CV} flaky failures "
                     f"({len(flaky)})"
                 )
                 continue
-            trainer = _make_trainer(args, evaluation.project_index(corpus, project))
+            trainer = _make_trainer(args)
             try:
                 per_project[project] = evaluation.cross_validate_project(
                     flaky, true, args.k, trainer, args.seed
@@ -338,11 +337,11 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _make_trainer(args, index: evaluation.ProjectIndex) -> evaluation.Trainer:
+def _make_trainer(args) -> evaluation.Trainer:
     if args.method == "tree":
-        return evaluation.tree_trainer(args.oversample, args.seed, index)
+        return evaluation.tree_trainer(args.oversample, args.seed)
     if args.method == "bayes":
-        return evaluation.bayes_trainer(args.oversample, args.seed, index)
+        return evaluation.bayes_trainer(args.oversample, args.seed)
     return evaluation.tfidf_trainer()
 
 

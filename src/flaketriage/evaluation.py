@@ -24,7 +24,7 @@ from .classifier import (
     train_naive_bayes,
 )
 from .errors import InsufficientFlaky, InsufficientTrue
-from .ingest import normalize
+from .ingest import NormalizedFailure
 from .matching import (
     MatchMode,
     MatchScope,
@@ -33,14 +33,14 @@ from .matching import (
     RepetitivenessReport,
     project_index,
 )
-from .model import Corpus, FailureRecord, KnownTests, Label, TestId
+from .model import Corpus, KnownTests, Label, TestId
 from .tfidf import classify_nn
 
 MIN_FLAKY_FOR_CV = 10
 DEFAULT_FOLDS = 5
 
-Predictor = Callable[[FailureRecord], Label]
-Trainer = Callable[[Sequence[FailureRecord]], Predictor]
+Predictor = Callable[[NormalizedFailure], Label]
+Trainer = Callable[[Sequence[NormalizedFailure]], Predictor]
 
 
 @dataclass(frozen=True)
@@ -245,8 +245,8 @@ class CvResult:
 
 
 def cross_validate_project(
-    flaky: Sequence[FailureRecord],
-    true: Sequence[FailureRecord],
+    flaky: Sequence[NormalizedFailure],
+    true: Sequence[NormalizedFailure],
     k: int,
     trainer: Trainer,
     seed: int = 0,
@@ -273,16 +273,16 @@ def cross_validate_project(
     fold_sizes = []
     for held_out in range(k):
         training = [
-            record
+            nf
             for i in range(k)
             if i != held_out
-            for record in flaky_folds[i] + true_folds[i]
+            for nf in flaky_folds[i] + true_folds[i]
         ]
         predictor = trainer(training)
         tp = fn = fp = tn = 0
-        for record in flaky_folds[held_out] + true_folds[held_out]:
-            predicted = predictor(record)
-            if record.label is Label.FLAKY:
+        for nf in flaky_folds[held_out] + true_folds[held_out]:
+            predicted = predictor(nf)
+            if nf.base.label is Label.FLAKY:
                 if predicted is Label.FLAKY:
                     tp += 1
                 else:
@@ -316,6 +316,13 @@ class CorpusCvResult:
         return metrics(self.aggregate)
 
 
+def labeled_failures(corpus: Corpus, project: str) -> tuple[list[NormalizedFailure], ...]:
+    """A project's flaky and true normalized failures, in its index's order."""
+    normalized = project_index(corpus, project).normalized
+    labels = (Label.FLAKY, Label.TRUE)
+    return tuple([nf for nf in normalized if nf.base.label is label] for label in labels)
+
+
 def stratified_cv(
     corpus: Corpus,
     k: int,
@@ -332,8 +339,7 @@ def stratified_cv(
     per_project: dict[str, CvResult] = {}
     skipped: dict[str, str] = {}
     for project in corpus.project_names():
-        flaky = list(corpus.records(project, Label.FLAKY))
-        true = list(corpus.records(project, Label.TRUE))
+        flaky, true = labeled_failures(corpus, project)
         if len(flaky) < MIN_FLAKY_FOR_CV:
             skipped[project] = (
                 f"fewer than {MIN_FLAKY_FOR_CV} flaky failures ({len(flaky)})"
@@ -354,22 +360,23 @@ def stratified_cv(
 def match_trainer(
     mode: MatchMode = MatchMode.FULL, scope: MatchScope = MatchScope.PER_TEST
 ) -> Trainer:
-    """Exact-matching strategy: predict flaky iff only flaky records match.
+    """Exact-matching strategy: predict flaky iff only flaky failures match.
 
-    Equivalent to running triage() against the training records, but the
-    training signatures are indexed once per fold.
+    Equivalent to running triage() against the training failures, but the
+    training signatures are indexed once per fold, from the normalized
+    failures given; nothing is normalized again.
     """
 
-    def train(records: Sequence[FailureRecord]) -> Predictor:
-        index = ProjectIndex(records)
+    def train(normalized: Sequence[NormalizedFailure]) -> Predictor:
+        index = ProjectIndex(normalized)
         flaky_only = {
             key
             for key, positions in index.groups(mode, scope).items()
             if all(index.records[i].label is Label.FLAKY for i in positions)
         }
 
-        def predictor(record: FailureRecord) -> Label:
-            key = index.key(normalize(record), mode, scope)
+        def predictor(nf: NormalizedFailure) -> Label:
+            key = index.key(nf, mode, scope)
             return Label.FLAKY if key in flaky_only else Label.TRUE
 
         return predictor
@@ -381,71 +388,62 @@ def feature_trainer(
     fit: Callable[[list[Sample]], TrainedModel],
     oversampled: bool = False,
     seed: int = 0,
-    index: ProjectIndex | None = None,
 ) -> Trainer:
     """Strategy of the six-feature classifiers: ``fit`` a model to the
-    training records' features, with :func:`oversample` under ``seed`` when
+    training failures' features, with :func:`oversample` under ``seed`` when
     ``oversampled`` is set, and predict with it.
 
-    Features depend only on the record, the known tests and the CUT
-    prefixes, and the prefixes follow from the known tests; so the trainer
-    extracts a record's features at most once per set of known tests it is
-    trained on. In k-fold that is once per record whenever every fold's
-    training records span all tests. A record of ``index`` is not
-    normalized again: its normalized failure is read from the index.
+    Features depend only on the normalized failure, the known tests and the
+    CUT prefixes, and the prefixes follow from the known tests; so the
+    trainer extracts a failure's features at most once per set of known
+    tests it is trained on. In k-fold that is once per failure whenever every
+    fold's training failures span all tests.
     """
-    # By record identity (hashing a record by value costs more than the
-    # lookup saves): the index's normalized failures, and per set of known
-    # tests its context and the features extracted under it. Each entry
-    # keeps its record alive, so ids stay unique.
-    normalized = {} if index is None else {id(nf.base): nf for nf in index.normalized}
+    # Per set of known tests, its context and the features extracted under
+    # it, by failure identity (hashing a failure by value costs more than the
+    # lookup saves). Each entry keeps its failure alive, so ids stay unique.
     contexts: dict[
         frozenset[TestId],
-        tuple[FeatureContext, dict[int, tuple[FailureRecord, FeatureVector]]],
+        tuple[FeatureContext, dict[int, tuple[NormalizedFailure, FeatureVector]]],
     ] = {}
 
-    def train(records: Sequence[FailureRecord]) -> Predictor:
-        known = frozenset(r.test for r in records)
+    def train(normalized: Sequence[NormalizedFailure]) -> Predictor:
+        known = frozenset(nf.base.test for nf in normalized)
         if known not in contexts:
             context = FeatureContext(KnownTests(known), default_cut_prefixes(known))
             contexts[known] = (context, {})
         context, extracted = contexts[known]
 
-        def features(record: FailureRecord) -> FeatureVector:
-            entry = extracted.get(id(record))
+        def features(nf: NormalizedFailure) -> FeatureVector:
+            entry = extracted.get(id(nf))
             if entry is None:
-                nf = normalized.get(id(record)) or normalize(record)
-                entry = extracted[id(record)] = (record, context.features(nf))
+                entry = extracted[id(nf)] = (nf, context.features(nf))
             return entry[1]
 
-        data = [(features(r), r.label) for r in records]
+        data = [(features(nf), nf.base.label) for nf in normalized]
         if oversampled:
             data = oversample(data, seed)
         model = fit(data)
-        return lambda record: model.predict(features(record))
+        return lambda nf: model.predict(features(nf))
 
     return train
 
 
-def tree_trainer(
-    oversampled: bool = False, seed: int = 0, index: ProjectIndex | None = None
-) -> Trainer:
-    return feature_trainer(train_decision_tree, oversampled, seed, index)
+def tree_trainer(oversampled: bool = False, seed: int = 0) -> Trainer:
+    return feature_trainer(train_decision_tree, oversampled, seed)
 
 
-def bayes_trainer(
-    oversampled: bool = False, seed: int = 0, index: ProjectIndex | None = None
-) -> Trainer:
-    return feature_trainer(train_naive_bayes, oversampled, seed, index)
+def bayes_trainer(oversampled: bool = False, seed: int = 0) -> Trainer:
+    return feature_trainer(train_naive_bayes, oversampled, seed)
 
 
 def tfidf_trainer() -> Trainer:
-    def train(records: Sequence[FailureRecord]) -> Predictor:
+    def train(normalized: Sequence[NormalizedFailure]) -> Predictor:
         history = Corpus()
-        history.add_all(records)
+        history.add_all(nf.base for nf in normalized)
 
-        def predictor(record: FailureRecord) -> Label:
-            return classify_nn(record, history).predicted
+        def predictor(nf: NormalizedFailure) -> Label:
+            return classify_nn(nf.base, history).predicted
 
         return predictor
 

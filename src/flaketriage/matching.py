@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .errors import ModeMismatch
 from .ingest import NormalizedFailure, normalize
-from .model import Corpus, FailureRecord, KnownTests, Label, TestId, record_id
+from .model import Corpus, KnownTests, Label, TestId, record_id
 
 
 class MatchMode(Enum):
@@ -204,18 +204,18 @@ def triage(
 
 
 class ProjectIndex:
-    """A set of failure records with the facts derived from them, each once.
+    """A set of normalized failures with the facts derived from them, each once.
 
-    Holds every record's normalized failure and the records' tests as the
-    known tests, and groups the records by match key per mode and scope on
-    first use. A record's key is ``(test, signature)`` under PER_TEST and the
+    Holds the failures, their records and the records' tests as the known
+    tests, and groups the records by match key per mode and scope on first
+    use. A record's key is ``(test, signature)`` under PER_TEST and the
     signature alone under CROSS_TEST, where the known tests' frames are
     dropped.
     """
 
-    def __init__(self, records: Iterable[FailureRecord]) -> None:
-        self.records = tuple(records)
-        self.normalized = tuple(normalize(r) for r in self.records)
+    def __init__(self, normalized: Iterable[NormalizedFailure]) -> None:
+        self.normalized = tuple(normalized)
+        self.records = tuple(nf.base for nf in self.normalized)
         self._groups: dict[tuple[MatchMode, MatchScope], dict[object, list[int]]] = {}
 
     @cached_property
@@ -267,10 +267,11 @@ def project_index(corpus: Corpus, project: str) -> ProjectIndex:
 
     The index holds the records in :meth:`Corpus.records` order (tests
     sorted, flaky bucket first), so it knows all of the project's tests. It
-    is built on first use and kept until a record is added to ``corpus``.
+    is built on first use, normalizing each record once, and kept until a
+    record is added to ``corpus``.
     """
     return corpus.derived(
-        (ProjectIndex, project), lambda: ProjectIndex(corpus.records(project))
+        (ProjectIndex, project), lambda: ProjectIndex(map(normalize, corpus.records(project)))
     )
 
 

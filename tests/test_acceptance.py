@@ -406,8 +406,8 @@ def test_criterion_6_classifier_properties():
 
     # Exactly k flaky failures still puts one in every fold.
     test = TestId("p", "a.T", "m")
-    flaky = [record(test, "E", str(i), (), Label.FLAKY) for i in range(5)]
-    true = [record(test, "F", str(i), (), Label.TRUE) for i in range(9)]
+    flaky = [normalize(record(test, "E", str(i), (), Label.FLAKY)) for i in range(5)]
+    true = [normalize(record(test, "F", str(i), (), Label.TRUE)) for i in range(9)]
     result = cross_validate_project(flaky, true, 5, match_trainer(), seed=0)
     assert all(n_flaky == 1 for n_flaky, _ in result.fold_sizes)
 

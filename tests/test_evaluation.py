@@ -241,10 +241,14 @@ def _labeled(test, exception, n, label, frames=()):
     ]
 
 
+def _normalized(test, exception, n, label):
+    return [normalize(r) for r in _labeled(test, exception, n, label)]
+
+
 def test_cv_round_robin_fold_sizes():
     test = TestId("p", "a.T", "m")
-    flaky = _labeled(test, "E", 10, Label.FLAKY)
-    true = _labeled(test, "F", 10, Label.TRUE)
+    flaky = _normalized(test, "E", 10, Label.FLAKY)
+    true = _normalized(test, "F", 10, Label.TRUE)
     result = cross_validate_project(flaky, true, 5, match_trainer(), seed=3)
     assert all(sizes == (2, 2) for sizes in result.fold_sizes)
     assert len(result.folds) == 5
@@ -252,8 +256,8 @@ def test_cv_round_robin_fold_sizes():
 
 def test_cv_fold_sizes_differ_by_at_most_one():
     test = TestId("p", "a.T", "m")
-    flaky = _labeled(test, "E", 13, Label.FLAKY)
-    true = _labeled(test, "F", 7, Label.TRUE)
+    flaky = _normalized(test, "E", 13, Label.FLAKY)
+    true = _normalized(test, "F", 7, Label.TRUE)
     result = cross_validate_project(flaky, true, 5, match_trainer(), seed=3)
     flaky_sizes = {s[0] for s in result.fold_sizes}
     true_sizes = {s[1] for s in result.fold_sizes}
@@ -266,15 +270,15 @@ def test_cv_insufficient_classes():
     test = TestId("p", "a.T", "m")
     with pytest.raises(InsufficientFlaky):
         cross_validate_project(
-            _labeled(test, "E", 3, Label.FLAKY),
-            _labeled(test, "F", 9, Label.TRUE),
+            _normalized(test, "E", 3, Label.FLAKY),
+            _normalized(test, "F", 9, Label.TRUE),
             5,
             match_trainer(),
         )
     with pytest.raises(InsufficientTrue):
         cross_validate_project(
-            _labeled(test, "E", 9, Label.FLAKY),
-            _labeled(test, "F", 3, Label.TRUE),
+            _normalized(test, "E", 9, Label.FLAKY),
+            _normalized(test, "F", 3, Label.TRUE),
             5,
             match_trainer(),
         )
@@ -360,15 +364,15 @@ def test_match_trainer_agrees_with_triage():
     for seed in range(4):
         corpus = random_corpus(seed + 300, max_records=60)
         for project in corpus.project_names():
-            records = list(corpus.records(project))
-            if len(records) < 4:
+            normalized = [normalize(r) for r in corpus.records(project)]
+            if len(normalized) < 4:
                 continue
-            held_out, rest = records[0], records[1:]
+            held_out, rest = normalized[0], normalized[1:]
             history = Corpus()
-            history.add_all(rest)
+            history.add_all(nf.base for nf in rest)
             for mode, scope in itertools.product(MatchMode, MatchScope):
                 predictor = match_trainer(mode, scope)(rest)
-                expected = triage(normalize(held_out), history, mode, scope)
+                expected = triage(held_out, history, mode, scope)
                 assert predictor(held_out) is expected.predicted
 
 
@@ -389,8 +393,8 @@ def test_corpus_cv_result_aggregate():
     result = CorpusCvResult(
         per_project={
             "a": cross_validate_project(
-                _labeled(TestId("a", "x.T", "m"), "E", 4, Label.FLAKY),
-                _labeled(TestId("a", "x.T", "m"), "F", 4, Label.TRUE),
+                _normalized(TestId("a", "x.T", "m"), "E", 4, Label.FLAKY),
+                _normalized(TestId("a", "x.T", "m"), "F", 4, Label.TRUE),
                 2,
                 match_trainer(),
             )

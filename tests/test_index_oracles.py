@@ -17,7 +17,7 @@ import random
 import pytest
 
 from conftest import frame, random_corpus, record
-from flaketriage import classifier, cli, evaluation, ingest
+from flaketriage import classifier, cli, evaluation, ingest, tfidf
 from flaketriage.classifier import (
     FeatureVector,
     default_cut_prefixes,
@@ -153,11 +153,11 @@ def oracle_per_test_triage(nf, history, mode):
 
 
 def oracle_trainer(fit):
-    def train(records):
-        known = frozenset(r.test for r in records)
+    def train(normalized):
+        known = frozenset(nf.base.test for nf in normalized)
         cut = default_cut_prefixes(known)
-        model = fit([(oracle_features(normalize(r), known, cut), r.label) for r in records])
-        return lambda r: model.predict(oracle_features(normalize(r), known, cut))
+        model = fit([(oracle_features(nf, known, cut), nf.base.label) for nf in normalized])
+        return lambda nf: model.predict(oracle_features(nf, known, cut))
 
     return train
 
@@ -207,7 +207,7 @@ def test_features_and_cross_test_signatures_match_the_oracles(seed):
     corpus = random_corpus(seed, max_records=120)
     framework = with_framework_frames(corpus)
     for project in corpus.project_names():
-        index = ProjectIndex(corpus.records(project))
+        index = ProjectIndex(map(normalize, corpus.records(project)))
         nfs = index.normalized
         for nf, cross_key in zip(nfs, index.keys(MatchMode.FULL, MatchScope.CROSS_TEST)):
             assert cross_key == oracle_cross_test_signature(nf, corpus.tests(project))
@@ -456,11 +456,10 @@ def test_per_test_triage_equal_frames_that_are_distinct_objects():
 )
 def test_cv_with_feature_reuse_matches_per_fold_extraction(seed, trainer, fit):
     corpus = random_corpus(seed, max_records=250)
-    shared = trainer()  # one trainer across projects, as the CLI uses it
+    shared = trainer()  # one trainer across projects, so its memo spans several
     compared = 0
     for project in corpus.project_names():
-        flaky = list(corpus.records(project, Label.FLAKY))
-        true = list(corpus.records(project, Label.TRUE))
+        flaky, true = evaluation.labeled_failures(corpus, project)
         if min(len(flaky), len(true)) < 3:
             continue
         got = cross_validate_project(flaky, true, 3, shared, seed)
@@ -693,10 +692,53 @@ def test_evaluate_normalizes_each_record_once(tmp_path, monkeypatch, capsys, met
         calls.append(rec)
         return normalize(rec, *args)
 
-    for module in (ingest, matching, evaluation, cli):
+    for module in (ingest, matching, cli):
         monkeypatch.setattr(module, "normalize", counted)
     assert cli.main(["evaluate", "--corpus", str(path), "--method", method]) == 0
     out = capsys.readouterr().out
     assert "skipped" not in out and "proj01" in out  # both projects ran CV
     assert len(calls) == n_records
     assert len(set(map(id, calls))) == n_records
+
+
+def _count_normalize(monkeypatch):
+    """Every ``normalize`` call through the package, from now on."""
+    calls = []
+
+    def counted(rec, *args):
+        calls.append(rec)
+        return normalize(rec, *args)
+
+    for module in (ingest, matching, evaluation, classifier, tfidf, cli):
+        if hasattr(module, "normalize"):
+            monkeypatch.setattr(module, "normalize", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make_trainer",
+    [
+        evaluation.match_trainer,
+        lambda: evaluation.match_trainer(MatchMode.FULL, MatchScope.CROSS_TEST),
+        tree_trainer,
+        lambda: bayes_trainer(True, 2),
+        evaluation.tfidf_trainer,
+    ],
+    ids=["match", "match-cross-test", "tree", "bayes-oversample", "tfidf"],
+)
+def test_cross_validation_normalizes_nothing(monkeypatch, make_trainer):
+    corpus = random_corpus(7, max_records=120)
+    projects = [evaluation.labeled_failures(corpus, p) for p in corpus.project_names()]
+    calls = _count_normalize(monkeypatch)
+    for flaky, true in projects:
+        cross_validate_project(flaky, true, 3, make_trainer(), 5)
+    assert calls == []
+
+
+def test_cv_and_exception_table_normalize_each_record_once(monkeypatch):
+    corpus = random_corpus(7, max_records=120)
+    calls = _count_normalize(monkeypatch)
+    result = evaluation.stratified_cv(corpus, 3, tree_trainer())
+    evaluation.exception_frequency(corpus, MatchMode.FULL)
+    assert result.per_project and not result.skipped
+    assert sorted(map(id, calls)) == sorted(map(id, corpus.records()))

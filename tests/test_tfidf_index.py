@@ -22,7 +22,7 @@ from flaketriage.errors import (
     FlakeTriageError,
     InvalidLogBase,
 )
-from flaketriage.evaluation import cross_validate_project, tfidf_trainer
+from flaketriage.evaluation import cross_validate_project, labeled_failures, tfidf_trainer
 from flaketriage.matching import TriageBasis, TriageVerdict
 from flaketriage.model import Corpus, FailureRecord, Label, TestId
 from flaketriage.tfidf import (
@@ -309,10 +309,10 @@ def test_threads_sharing_one_history_agree():
 
 
 def oracle_tfidf_trainer():
-    def train(records):
+    def train(normalized):
         history = Corpus()
-        history.add_all(records)
-        return lambda record: oracle_classify_nn(record, history).predicted
+        history.add_all(nf.base for nf in normalized)
+        return lambda nf: oracle_classify_nn(nf.base, history).predicted
 
     return train
 
@@ -330,8 +330,7 @@ def test_tfidf_cv_matches_the_oracle_trainer(seed, monkeypatch):
     corpus = random_corpus(seed, max_records=150)
     compared = 0
     for project in corpus.project_names():
-        flaky = list(corpus.records(project, Label.FLAKY))
-        true = list(corpus.records(project, Label.TRUE))
+        flaky, true = labeled_failures(corpus, project)
         if min(len(flaky), len(true)) < 3:
             continue
         builds.clear()
