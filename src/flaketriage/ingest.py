@@ -1,11 +1,11 @@
 """Failure-log parsing, frame filtering, and the XML corpus format."""
 from __future__ import annotations
 
+import gc
 import io
 import re
 import sys
 import xml.etree.ElementTree as ET
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -17,14 +17,21 @@ from .errors import (
     MalformedLog,
     SchemaError,
 )
-from .model import Corpus, FailureRecord, Label, StackFrame, TestId
+from .model import (
+    Corpus,
+    FailureRecord,
+    Label,
+    StackFrame,
+    TestId,
+    _prechecked_frame,
+)
 
 # One stack-trace line after the leading "at " is removed, e.g.
 #   tachyon.LocalTachyonCluster.start(LocalTachyonCluster.java:104)
 #   java.net.InetAddress$2.lookupAllHostAddr(InetAddress.java:929)
 #   java.net.Inet6AddressImpl.lookupAllHostAddr(Native Method)
 _FRAME_RE = re.compile(r"^(?P<loc>[^\s()]+)\((?P<where>[^()]*)\)$")
-_SOURCE_RE = re.compile(r"^(?P<file>[^:]+):(?P<line>\d+)$")
+_SOURCE_RE = re.compile(r"^(?P<file>[^:]+):(?P<line>[0-9]+)\Z")
 # The packaging data logback and log4j2 append to a frame, e.g.
 #   a.B.test(B.java:1) ~[classes/:?]
 #   org.junit.runners.ParentRunner.run(ParentRunner.java:363) [junit-4.12.jar:4.12]
@@ -82,11 +89,19 @@ def parse_frame(text: str) -> StackFrame:
 
     Accepted shapes: ``CLASS.METHOD(FILE:LINE)``, ``CLASS.METHOD(Native
     Method)``, and ``CLASS.METHOD(Unknown Source)``. METHOD is the last
-    dot-segment before the parenthesis. One trailing logback or log4j2
-    packaging suffix, such as `` ~[classes/:?]``, and the class loader and
-    module prefix of JDK 9+, such as ``app//`` or ``java.base/``, are
-    dropped; ``raw`` is the text without them.
+    dot-segment before the parenthesis, and LINE is ASCII digits. One
+    trailing logback or log4j2 packaging suffix, such as `` ~[classes/:?]``,
+    and the class loader and module prefix of JDK 9+, such as ``app//`` or
+    ``java.base/``, are dropped; ``raw`` is the text without them.
     """
+    return _parse_frame(text, {})
+
+
+def _parse_frame(
+    text: str, locations: dict[str, tuple[str, str]]
+) -> StackFrame:
+    """:func:`parse_frame`, reusing the interned (class, method) pair that
+    ``locations`` holds for a ``CLASS.METHOD`` text, and adding new ones."""
     stripped = text.strip()
     match = _FRAME_RE.match(stripped)
     if match is None:
@@ -97,22 +112,29 @@ def parse_frame(text: str) -> StackFrame:
     loc, where = match.groups()
     if "/" in loc and (module := _MODULE_RE.match(loc)) is not None:
         loc, stripped = loc[module.end():], stripped[module.end():]
-    class_fqn, dot, method = loc.rpartition(".")
-    if not dot:
-        raise MalformedFrame(f"frame has no class.method location: {text!r}")
-    if not class_fqn or not method:
-        raise MalformedFrame(f"frame has an empty class or method: {text!r}")
-    # Few names recur across many frames (a synthetic 13k-failure history
-    # has 197 classes and 53 methods in 23k distinct frames); one object per
-    # name keeps the names that matching reads few and close in memory.
-    class_fqn, method = sys.intern(class_fqn), sys.intern(method)
+    names = locations.get(loc)
+    if names is None:
+        class_fqn, dot, method = loc.rpartition(".")
+        if not dot:
+            raise MalformedFrame(f"frame has no class.method location: {text!r}")
+        if not class_fqn or not method:
+            raise MalformedFrame(f"frame has an empty class or method: {text!r}")
+        # Few names recur across many frames (a synthetic 13k-failure history
+        # has 197 classes and 53 methods in 23k distinct frames); one object
+        # per name keeps the names that matching reads few and close in
+        # memory.
+        names = locations[loc] = (sys.intern(class_fqn), sys.intern(method))
+    class_fqn, method = names
+    # The grammar has checked what StackFrame's own checks would: the class
+    # has no whitespace, class and method are not empty, and a line is
+    # ASCII digits, so not negative.
     if where in _NO_SOURCE:
-        return StackFrame(class_fqn, method, None, None, stripped)
+        return _prechecked_frame(class_fqn, method, None, None, stripped)
     source = _SOURCE_RE.match(where)
     if source is None:
         raise MalformedFrame(f"unrecognised source position {where!r} in {text!r}")
     file, line = source.groups()
-    return StackFrame(class_fqn, method, sys.intern(file), int(line), stripped)
+    return _prechecked_frame(class_fqn, method, sys.intern(file), int(line), stripped)
 
 
 def parse_failure_text(
@@ -258,6 +280,13 @@ def read_corpus_xml(doc: bytes | str | IO[bytes] | Path) -> Corpus:
     to read it from. The document is parsed as a stream: each entry (a
     ``<Failure>``, or a ``<Project>`` group's ``<Failure>``) is read once it
     has ended and then dropped, so few failures' elements are alive at a time.
+    The root is found under a holder element that the reader's tree builder
+    opens first, so the parser queues no per-element events.
+
+    The cyclic garbage collector is paused while the document is read, since
+    the read creates no reference cycles, and its prior state is restored
+    when the read ends, as ``timeit`` does. So a ``gc.disable()`` that
+    another thread makes during a read is undone when the read ends.
 
     Raises SchemaError naming the first offending element, and
     DuplicateProjectMismatch when a T project attribute conflicts with an
@@ -272,27 +301,35 @@ def read_corpus_xml(doc: bytes | str | IO[bytes] | Path) -> Corpus:
     elif not hasattr(doc, "read"):
         with open(doc, "rb") as handle:
             return read_corpus_xml(handle)
-    # Only start events are asked for: the first gives the root, and the
-    # tree itself shows which entries have ended.
-    parser = ET.XMLPullParser(("start",))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_stream(doc)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _read_stream(doc: IO[bytes] | IO[str]) -> Corpus:
+    """:func:`read_corpus_xml` on a file object, with the collector paused.
+
+    The tree builder opens a holder element of its own before the parser
+    starts, so the document's root becomes the holder's child as soon as its
+    start tag is parsed: no parser events are needed to find it, and the
+    tree itself shows which entries have ended.
+    """
+    builder = ET.TreeBuilder()
+    holder = builder.start("holder", {})
+    parser = ET.XMLParser(target=builder)
     reader = None
     try:
-        while True:
-            chunk = doc.read(_CHUNK)
-            if chunk:
-                parser.feed(chunk)
-            else:
-                parser.close()
-            events = parser.read_events()
-            if reader is None:
-                for _, root in events:
-                    reader = _CorpusReader(root)
-                    break
-            deque(events, maxlen=0)  # raises the parse error of this chunk
-            if not chunk:
-                break
+        while chunk := doc.read(_CHUNK):
+            parser.feed(chunk)
+            if reader is None and len(holder):
+                reader = _CorpusReader(holder[0])
             if reader is not None:
                 reader.read()
+        parser.close()
     except ET.ParseError as exc:
         raise SchemaError(f"not well-formed XML: {exc}") from exc
     # A schema error is raised only now, once the whole document has parsed.
@@ -305,6 +342,9 @@ def read_corpus_xml(doc: bytes | str | IO[bytes] | Path) -> Corpus:
 class _CorpusReader:
     """Reads a corpus document's entries in document order once they end.
 
+    ``root`` is the document's root while it is still being parsed: the
+    first child of the holder element that :func:`_read_stream` opens, which
+    the parser never closes. The read runs with the cyclic collector paused.
     The entries are the children of the root and of a ``<Project>`` group.
     All children of an element but the last have ended, and so has the last
     once the element has; so each entry is read, with the text after it,
@@ -318,6 +358,7 @@ class _CorpusReader:
         self.corpus = Corpus()
         # Frames and tests recur across failures; equal ones share one object.
         self.frames: dict[str, StackFrame] = {}
+        self.locations: dict[str, tuple[str, str]] = {}
         self.tests: dict[tuple[str, str], TestId] = {}
         self.error: SchemaError | None = None
         if root.tag != "Corpus":
@@ -354,7 +395,9 @@ class _CorpusReader:
             if self.error is None:
                 group = None if container is self.root else container.get("name")
                 try:
-                    record = _read_failure(entry, group, self.frames, self.tests)
+                    record = _read_failure(
+                        entry, group, self.frames, self.locations, self.tests
+                    )
                 except SchemaError as exc:
                     self.error = type(exc)(f"failure {self.failures}: {exc}")
                     self.error.__cause__ = exc.__cause__
@@ -407,6 +450,7 @@ def _read_failure(
     elem: ET.Element,
     enclosing_project: str | None,
     parsed_frames: dict[str, StackFrame],
+    locations: dict[str, tuple[str, str]],
     parsed_tests: dict[tuple[str, str], TestId],
 ) -> FailureRecord:
     label_attr = elem.get("label", "flaky")
@@ -474,7 +518,7 @@ def _read_failure(
         frame = parsed_frames.get(text)
         if frame is None:
             try:
-                frame = parsed_frames[text] = parse_frame(text)
+                frame = parsed_frames[text] = _parse_frame(text, locations)
             except MalformedFrame as exc:
                 raise SchemaError(f"bad <line> element: {exc}") from exc
         frames.append(frame)

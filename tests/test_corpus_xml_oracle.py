@@ -10,6 +10,7 @@ documents where the two differ are the stricter rules of
 """
 from __future__ import annotations
 
+import gc
 import io
 import re
 import tracemalloc
@@ -167,6 +168,28 @@ def grouped(doc: bytes) -> bytes:
     return ET.tostring(out, encoding="utf-8", xml_declaration=True)
 
 
+def with_prolog_and_comments(doc: bytes) -> bytes:
+    """``doc`` with a DOCTYPE, a comment and a processing instruction before
+    the root, and a comment at the start of each non-empty ``<M>``."""
+    declaration = doc.index(b"?>") + 2
+    prolog = b"\n<!DOCTYPE Corpus>\n<!-- history -->\n<?tool run=1?>"
+    return (doc[:declaration] + prolog + doc[declaration:]).replace(b"<M>", b"<M><!-- note -->")
+
+
+class OneByteAtATime(io.BytesIO):
+    """A binary file whose ``read`` returns one byte per call, so that a
+    chunk boundary falls inside every tag, the XML declaration included. It
+    notes whether the cyclic collector was enabled at each call."""
+
+    def __init__(self, data: bytes) -> None:
+        super().__init__(data)
+        self.collecting: set[bool] = set()
+
+    def read(self, size: int | None = -1) -> bytes:
+        self.collecting.add(gc.isenabled())
+        return super().read(1)
+
+
 def corpus_doc(seed: int) -> bytes:
     return write_corpus_xml(random_corpus(seed))
 
@@ -178,12 +201,14 @@ def corpus_doc(seed: int) -> bytes:
 def test_round_trip_agrees_with_oracle(seed):
     corpus = random_corpus(seed)
     doc = write_corpus_xml(corpus)
-    for variant in (doc, grouped(doc)):
+    assert doc.startswith(b"<?xml ")
+    for variant in (doc, grouped(doc), with_prolog_and_comments(doc)):
         expected = oracle_read_corpus_xml(variant)
         assert expected == corpus
         assert read_corpus_xml(variant) == expected
         assert read_corpus_xml(variant.decode("utf-8")) == expected
         assert read_corpus_xml(io.BytesIO(variant)) == expected
+        assert read_corpus_xml(OneByteAtATime(variant)) == expected
 
 
 def test_reads_a_path(tmp_path):
@@ -220,6 +245,7 @@ def test_schema_error_agrees_with_oracle(doc, fragment):
     assert_agrees(doc)
     assert_agrees(doc.decode("utf-8"))
     assert_agrees(doc, io.BytesIO)
+    assert_agrees(doc, OneByteAtATime)
 
 
 @pytest.mark.parametrize("doc, fragment", STRICT_SCHEMA_CASES)
@@ -317,3 +343,35 @@ def test_read_peak_memory_stays_near_what_the_corpus_holds(history_doc, group):
     assert len(corpus) > 2000
     ratio = (peak - base) / (held - base)
     assert ratio <= 1.5, f"read peaked at {ratio:.2f}x what the corpus holds"
+
+
+# --- the cyclic collector ------------------------------------------------------
+
+
+@pytest.fixture
+def restore_collector():
+    """Restores whether the cyclic collector is enabled after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("doc, result", [
+    (corpus_doc(0), "ok"),
+    (b'<Corpus><Failure><T project="p">a.T.m</T><E> </E><M/><S/></Failure></Corpus>', SchemaError),
+    (corpus_doc(0)[:-20], SchemaError),
+], ids=["valid", "schema-error", "not-well-formed"])
+def test_read_pauses_the_collector_and_restores_its_state(restore_collector, doc, result, enabled):
+    (gc.enable if enabled else gc.disable)()
+    source = OneByteAtATime(doc)
+    assert outcome(read_corpus_xml, source)[0] == result
+    assert source.collecting == {False}
+    assert gc.isenabled() is enabled
+
+
+def test_a_read_leaves_no_cyclic_garbage(history_doc):
+    gc.collect()
+    corpus = read_corpus_xml(history_doc)
+    assert gc.collect() == 0
+    assert len(corpus) > 2000

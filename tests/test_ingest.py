@@ -21,7 +21,8 @@ from flaketriage.ingest import (
     read_corpus_xml,
     write_corpus_xml,
 )
-from flaketriage.model import Corpus, Label, TestId
+from flaketriage.model import Corpus, Label, StackFrame, TestId
+from flaketriage.synth import CountDistribution, ExceptionSpec, GeneratorConfig, generate
 
 from conftest import (
     ALLUXIO_FRAMES,
@@ -111,11 +112,15 @@ def test_parse_raises_nothing_but_malformed_log(raw):
 
 
 def test_parse_skips_malformed_frames_with_diagnostics():
-    raw = "E: boom\n at a.B.c(B.java:7)\n at nonsense here\n at a.B.d(B.java:9)\n"
+    raw = (
+        "E: boom\n at a.B.c(B.java:7)\n at nonsense here\n at a.B.d(B.java:9)\n"
+        " at a.B.e(B.java:\u0663)\n"
+    )
     diagnostics = []
     rec = parse_failure_text(raw, TestId("p", "A", "m"), diagnostics)
     assert [f.method for f in rec.frames] == ["c", "d"]
-    assert len(diagnostics) == 1
+    assert len(diagnostics) == 2
+    assert "unrecognised source position" in diagnostics[1]
 
 
 def test_parse_stops_at_caused_by():
@@ -205,6 +210,7 @@ def test_parse_frame_rejects_bad_shapes():
         "noparens", "a.B.c(B.java)", "justamethod(B.java:1)", "a.B.c(B.java:x)",
         "a.B.c(B.java:1) ~[classes/:?", "a.B.c(B.java:1) [x] ~[y]",
         "a.B.c(B.java:1)~[classes/:?]", "a.B.c(B.java:x) ~[classes/:?]",
+        "a.B.c(B.java:1\n)", "a.B.c(B.java:\u0663)",
     ):
         with pytest.raises(MalformedFrame):
             parse_frame(text)
@@ -239,6 +245,51 @@ def test_parse_frame_keeps_the_slash_of_a_hidden_class(text):
     parsed = parse_frame(text)
     assert parsed.raw == text
     assert parsed.class_fqn + ".run" == text.partition("(")[0]
+
+
+# Frames of shapes the generator does not make, for the constructor oracle.
+ODD_FRAMES = [
+    "app//a.B.test(B.java:1)",
+    "java.base@11.0.2/java.lang.Thread.run(Thread.java:834)",
+    "a.B.test(B.java:1) ~[classes/:?]",
+    "a.B$$Lambda$1/0x0000000800c8c440.run(Unknown Source)",
+    "a.B.run(Native Method)",
+    "a.B.run(Unknown Source)",
+    "a.B.test(B.java:01)",
+]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_parsed_frames_equal_what_the_validated_constructor_builds(seed):
+    # parse_frame and the reader skip StackFrame's own checks, because the
+    # frame grammar has made them already; the checked constructor is the
+    # reference for every frame either returns.
+    corpus = generate(GeneratorConfig(
+        seed=seed,
+        projects=2,
+        tests_per_project=CountDistribution.constant(5),
+        flaky_signatures_per_test=CountDistribution.uniform(1, 3),
+        flaky_occurrences_per_signature=CountDistribution.geometric(0.3),
+        true_failures_per_test=CountDistribution.uniform(2, 6),
+        frame_depth=(3, 12),
+        exception_pool=(
+            ExceptionSpec("UnknownHostException", 3),
+            ExceptionSpec("AssertionError", 2, shared_across_labels=True),
+        ),
+    ))
+    texts = sorted({f.raw for r in corpus.records() for f in r.frames}) + ODD_FRAMES
+    lines = "".join(f"<line>{text}</line>" for text in ODD_FRAMES)
+    odd_doc = (
+        '<Corpus><Failure><T project="p">a.T.m</T><E>E</E><M/>'
+        f"<S>{lines}</S></Failure></Corpus>"
+    )
+    frames = [parse_frame(text) for text in texts]
+    for doc in (write_corpus_xml(corpus), odd_doc):
+        frames += [f for r in read_corpus_xml(doc).records() for f in r.frames]
+    assert len(frames) > 2 * len(texts) > 100
+    for f in frames:
+        checked = StackFrame(f.class_fqn, f.method, f.file, f.line, f.raw)
+        assert checked == f and hash(checked) == hash(f)
 
 
 BOM = "\ufeff"
