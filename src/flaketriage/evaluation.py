@@ -1,15 +1,17 @@
 """Confusion-matrix accounting, metrics, cross-validation, and report tables.
 
-Scoring follows the conservative triage rule throughout: a flaky failure
-counts as a true positive only when it matches at least one other flaky
-failure and no true failure; everything else makes it a false negative. A
-failure is never compared against itself.
+Matching is scored as leave-one-out triage: each failure gets the basis
+:func:`~flaketriage.matching.triage` would give it against every other failure
+of its scope (``ProjectIndex.bases``), never against itself. A flaky failure
+is a true positive when its basis is MATCHED_FLAKY_ONLY and a false negative
+otherwise; a true failure is a false positive when its basis is
+MATCHED_FLAKY_ONLY or MATCHED_BOTH and a true negative otherwise.
 """
 from __future__ import annotations
 
 import json
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,6 +33,7 @@ from .matching import (
     ProjectIndex,
     ProjectRepetitiveness,
     RepetitivenessReport,
+    TriageBasis,
     project_index,
 )
 from .model import Corpus, KnownTests, Label, TestId
@@ -105,25 +108,20 @@ class ScoreResult:
     tests_with_fn: int
 
 
-def _record_outcomes(
-    index: ProjectIndex, mode: MatchMode, scope: MatchScope
-) -> list[str]:
-    """The outcome of each of the index's records, in record order.
-
-    Outcome is "tp"/"fn" for flaky records and "fp"/"tn" for true records,
-    scored against all other records in scope with the record itself
-    excluded.
-    """
-    outcomes = [""] * len(index.records)
-    groups = index.groups(mode, scope).values()
-    for positions, flaky in zip(groups, index.flaky_counts(mode, scope)):
-        true = len(positions) - flaky
-        for i in positions:
-            if index.records[i].label is Label.FLAKY:
-                outcomes[i] = "tp" if flaky > 1 and not true else "fn"
+def _confusion(counts: Counter[tuple[Label, TriageBasis]]) -> ConfusionMatrix:
+    """Score failures from the number of them per label and leave-one-out basis."""
+    tp = fn = fp = tn = 0
+    for (label, basis), n in counts.items():
+        if label is Label.FLAKY:
+            if basis is TriageBasis.MATCHED_FLAKY_ONLY:
+                tp += n
             else:
-                outcomes[i] = "fp" if flaky else "tn"
-    return outcomes
+                fn += n
+        elif basis in (TriageBasis.MATCHED_FLAKY_ONLY, TriageBasis.MATCHED_BOTH):
+            fp += n
+        else:
+            tn += n
+    return ConfusionMatrix(tp, fn, fp, tn)
 
 
 def score_project(
@@ -134,14 +132,15 @@ def score_project(
 ) -> ScoreResult:
     """Score every labeled failure of one project against the rest of its scope."""
     index = project_index(corpus, project)
-    outcomes = _record_outcomes(index, mode, scope)
-    counts = Counter(outcomes)
-    # Per outcome, the number of tests with at least one record of it.
-    tests = Counter(o for _, o in set(zip((r.test for r in index.records), outcomes)))
-    matrix = ConfusionMatrix(
-        counts["tp"], counts["fn"], counts["fp"], counts["tn"]
+    per_test: dict[TestId, Counter[tuple[Label, TriageBasis]]] = defaultdict(Counter)
+    for record, basis in zip(index.records, index.bases(mode, scope)):
+        per_test[record.test][record.label, basis] += 1
+    matrices = [_confusion(counts) for counts in per_test.values()]
+    return ScoreResult(
+        sum(matrices, ConfusionMatrix()),
+        sum(m.tp > 0 for m in matrices),
+        sum(m.fn > 0 for m in matrices),
     )
-    return ScoreResult(matrix, tests["tp"], tests["fn"])
 
 
 def score_matching(
@@ -160,10 +159,8 @@ def score_matching(
 
 def distinct_signature_counts(corpus: Corpus, project: str) -> tuple[int, int]:
     """Distinct per-test full signatures in the flaky and true buckets."""
-    index = project_index(corpus, project)
-    groups = index.groups(MatchMode.FULL, MatchScope.PER_TEST).values()
-    flaky = index.flaky_counts(MatchMode.FULL, MatchScope.PER_TEST)
-    return sum(map(bool, flaky)), sum(n < len(g) for n, g in zip(flaky, groups))
+    counts = project_index(corpus, project).counts(MatchMode.FULL, MatchScope.PER_TEST)
+    return sum(flaky > 0 for flaky, _ in counts), sum(true > 0 for _, true in counts)
 
 
 # --- exception frequency table ----------------------------------------------
@@ -192,32 +189,24 @@ def exception_frequency(corpus: Corpus, mode: MatchMode) -> list[ExceptionRow]:
     """
     projects: dict[str, set[str]] = {}
     tests: dict[str, set[TestId]] = {}
-    counters: dict[str, Counter[str]] = {}
+    counters: dict[str, Counter[tuple[Label, TriageBasis]]] = {}
     for project in corpus.project_names():
         index = project_index(corpus, project)
-        outcomes = _record_outcomes(index, mode, MatchScope.PER_TEST)
-        for record, outcome in zip(index.records, outcomes):
+        bases = index.bases(mode, MatchScope.PER_TEST)
+        for record, basis in zip(index.records, bases):
             exception_type = record.exception_type
             projects.setdefault(exception_type, set()).add(project)
             tests.setdefault(exception_type, set()).add(record.test)
             counter = counters.setdefault(exception_type, Counter())
-            counter[record.label.value] += 1
-            counter[outcome] += 1
-    rows = [
-        ExceptionRow(
-            exception=name,
-            projects=len(projects[name]),
-            tests=len(tests[name]),
-            failures=counter["flaky"] + counter["true"],
-            true=counter["true"],
-            flaky=counter["flaky"],
-            tp=counter["tp"],
-            fn=counter["fn"],
-            fp=counter["fp"],
-            tn=counter["tn"],
-        )
-        for name, counter in counters.items()
-    ]
+            counter[record.label, basis] += 1
+    rows = []
+    for name, counter in counters.items():
+        cm = _confusion(counter)
+        flaky, true = cm.tp + cm.fn, cm.fp + cm.tn
+        rows.append(ExceptionRow(
+            name, len(projects[name]), len(tests[name]), flaky + true, true, flaky,
+            cm.tp, cm.fn, cm.fp, cm.tn,
+        ))
     rows.sort(key=lambda row: (-row.failures, row.exception))
     return rows
 
@@ -371,8 +360,8 @@ def match_trainer(
         index = ProjectIndex(normalized)
         flaky_only = {
             key
-            for key, positions in index.groups(mode, scope).items()
-            if all(index.records[i].label is Label.FLAKY for i in positions)
+            for key, counts in zip(index.groups(mode, scope), index.counts(mode, scope))
+            if TriageBasis.of(*counts) is TriageBasis.MATCHED_FLAKY_ONLY
         }
 
         def predictor(nf: NormalizedFailure) -> Label:

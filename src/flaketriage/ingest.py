@@ -31,7 +31,7 @@ from .model import (
 #   java.net.InetAddress$2.lookupAllHostAddr(InetAddress.java:929)
 #   java.net.Inet6AddressImpl.lookupAllHostAddr(Native Method)
 _FRAME_RE = re.compile(r"^(?P<loc>[^\s()]+)\((?P<where>[^()]*)\)$")
-_SOURCE_RE = re.compile(r"^(?P<file>[^:]+):(?P<line>[0-9]+)\Z")
+_SOURCE_RE = re.compile(r"^(?P<file>[^:\s]+):(?P<line>[0-9]+)\Z")
 # The packaging data logback and log4j2 append to a frame, e.g.
 #   a.B.test(B.java:1) ~[classes/:?]
 #   org.junit.runners.ParentRunner.run(ParentRunner.java:363) [junit-4.12.jar:4.12]

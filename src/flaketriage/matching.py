@@ -67,6 +67,13 @@ class TriageBasis(Enum):
     def __str__(self) -> str:
         return self.value
 
+    @classmethod
+    def of(cls, flaky: int, true: int) -> TriageBasis:
+        """The basis of a match with ``flaky`` flaky and ``true`` true records."""
+        if flaky:
+            return cls.MATCHED_BOTH if true else cls.MATCHED_FLAKY_ONLY
+        return cls.MATCHED_TRUE if true else cls.MATCHED_NONE
+
 
 @dataclass(frozen=True)
 class TriageVerdict:
@@ -80,6 +87,13 @@ class TriageVerdict:
     predicted: Label
     basis: TriageBasis
     evidence: tuple[str, ...] = ()
+
+    @classmethod
+    def of(cls, flaky: int, true: int, evidence: tuple[str, ...] = ()) -> TriageVerdict:
+        """The verdict on a match with ``flaky`` flaky and ``true`` true records."""
+        basis = TriageBasis.of(flaky, true)
+        flaky_only = basis is TriageBasis.MATCHED_FLAKY_ONLY
+        return cls(Label.FLAKY if flaky_only else Label.TRUE, basis, evidence)
 
 
 def signature(
@@ -186,18 +200,7 @@ def triage(
             hits[index.records[i].label].append(index.ids[i])
 
     flaky_hits, true_hits = hits[Label.FLAKY], hits[Label.TRUE]
-    if flaky_hits and true_hits:
-        basis = TriageBasis.MATCHED_BOTH
-    elif flaky_hits:
-        basis = TriageBasis.MATCHED_FLAKY_ONLY
-    elif true_hits:
-        basis = TriageBasis.MATCHED_TRUE
-    else:
-        basis = TriageBasis.MATCHED_NONE
-    predicted = (
-        Label.FLAKY if basis is TriageBasis.MATCHED_FLAKY_ONLY else Label.TRUE
-    )
-    return TriageVerdict(predicted, basis, tuple(flaky_hits + true_hits))
+    return TriageVerdict.of(len(flaky_hits), len(true_hits), (*flaky_hits, *true_hits))
 
 
 # --- per-project index -------------------------------------------------------
@@ -253,13 +256,31 @@ class ProjectIndex:
             self._groups[(mode, scope)] = groups
         return groups
 
-    def flaky_counts(self, mode: MatchMode, scope: MatchScope) -> list[int]:
-        """Flaky records per group of :meth:`groups`, in its order."""
+    def counts(self, mode: MatchMode, scope: MatchScope) -> list[tuple[int, int]]:
+        """Flaky and true records per group of :meth:`groups`, in its order."""
         records = self.records
-        return [
-            sum(records[i].label is Label.FLAKY for i in positions)
-            for positions in self.groups(mode, scope).values()
-        ]
+        counts = []
+        for positions in self.groups(mode, scope).values():
+            flaky = sum(records[i].label is Label.FLAKY for i in positions)
+            counts.append((flaky, len(positions) - flaky))
+        return counts
+
+    def bases(self, mode: MatchMode, scope: MatchScope) -> list[TriageBasis]:
+        """Each record's leave-one-out basis, in record order.
+
+        That is the basis :func:`triage` gives the record against every other
+        record: its group's counts with the record itself taken out.
+        """
+        records = self.records
+        bases = [TriageBasis.MATCHED_NONE] * len(records)
+        groups = self.groups(mode, scope).values()
+        for positions, (flaky, true) in zip(groups, self.counts(mode, scope)):
+            # Each basis is read only if the group has a member of its label.
+            of_flaky = TriageBasis.of(flaky - 1, true)
+            of_true = TriageBasis.of(flaky, true - 1)
+            for i in positions:
+                bases[i] = of_flaky if records[i].label is Label.FLAKY else of_true
+        return bases
 
 
 def project_index(corpus: Corpus, project: str) -> ProjectIndex:
@@ -320,7 +341,7 @@ def repetitiveness(corpus: Corpus) -> RepetitivenessReport:
         if not flaky_tests:
             continue
         per_test, cross = (
-            [n for n in index.flaky_counts(MatchMode.FULL, scope) if n]
+            [flaky for flaky, _ in index.counts(MatchMode.FULL, scope) if flaky]
             for scope in (MatchScope.PER_TEST, MatchScope.CROSS_TEST)
         )
         per_project[project] = ProjectRepetitiveness(

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import EmptyDocument, EmptyHistory, InvalidLogBase, UnknownTerm
-from .matching import TriageBasis, TriageVerdict
+from .matching import TriageVerdict
 from .model import Corpus, FailureRecord, Label
 
 # Symbols removed before dot-splitting; each becomes a token boundary.
@@ -191,7 +191,6 @@ class TfidfIndex:
         self, history: Corpus, project: str, log_base: float | None = None
     ) -> None:
         _check_log_base(log_base)
-        self.project = project
         self.log_base = log_base
         self.size = 0  # history records, duplicates included
         self.empty_id: str | None = None  # first record without tokens
@@ -249,14 +248,12 @@ class TfidfIndex:
 
     def classify(self, query: FailureRecord) -> TriageVerdict:
         """The verdict :func:`classify_nn` gives ``query`` against this history."""
-        if not self.size:
-            raise EmptyHistory(f"no labeled failures for project {self.project!r}")
         document = tokenize(query, "query")
         size = self.size + 1
         frequencies = {term: self.frequencies[term] + 1 for term in document.tokens}
         weights = _weights(document, frequencies, size, self.log_base)
         if all(weight == 0.0 for weight in weights.values()):
-            return TriageVerdict(Label.TRUE, TriageBasis.MATCHED_NONE)
+            return TriageVerdict.of(0, 0)
         if self.empty_id is not None:
             raise EmptyDocument(f"document {self.empty_id!r} has no tokens")
         query_norm = math.sqrt(sum(weights[t] * weights[t] for t in sorted(weights)))
@@ -308,23 +305,14 @@ class TfidfIndex:
             elif score == best:
                 tops.append(position)
         if best == 0.0:
-            return TriageVerdict(Label.TRUE, TriageBasis.MATCHED_NONE)
+            return TriageVerdict.of(0, 0)
 
         top = [
             member for position in tops for member in self.documents[position].members
         ]
-        top_labels = {label for _, label in top}
+        flaky = sum(label is Label.FLAKY for _, label in top)
         evidence = tuple(sorted(record_id for record_id, _ in top))
-        if top_labels == {Label.FLAKY}:
-            return TriageVerdict(
-                Label.FLAKY, TriageBasis.MATCHED_FLAKY_ONLY, evidence
-            )
-        basis = (
-            TriageBasis.MATCHED_BOTH
-            if len(top_labels) == 2
-            else TriageBasis.MATCHED_TRUE
-        )
-        return TriageVerdict(Label.TRUE, basis, evidence)
+        return TriageVerdict.of(flaky, len(top) - flaky, evidence)
 
 
 def classify_nn(
@@ -343,6 +331,8 @@ def classify_nn(
     """
     _check_log_base(log_base)
     project = query.test.project
+    if project not in history.project_names():
+        raise EmptyHistory(f"no labeled failures for project {project!r}")
     index = history.derived(
         (TfidfIndex, project, log_base),
         lambda: TfidfIndex(history, project, log_base),

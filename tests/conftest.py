@@ -64,6 +64,8 @@ SCHEMA_ERROR_CASES = [
     (b'<Corpus><Failure><T project="p">nodots</T><E>E</E><M/><S/></Failure></Corpus>', "class.method"),
     (b'<Corpus><Failure><T project="p">a.T.m</T><E>E</E><M/><S><line>bad line</line></S></Failure></Corpus>', "line"),
     (b'<Corpus><Failure><T project="p">a.T.m</T><E>E</E><M/><S><line>a.B.m(B.java:1&#10;)</line></S></Failure></Corpus>', "unrecognised source position"),
+    (b'<Corpus><Failure><T project="p">a.T.m</T><E>E</E><M/><S><line>a.B.m(B&#10;.java:1)</line></S></Failure></Corpus>', "unrecognised source position"),
+    (b'<Corpus><Failure><T project="p">a.T.m</T><E>E</E><M/><S><line>a.B.m( :1)</line></S></Failure></Corpus>', "unrecognised source position"),
     ('<Corpus><Failure><T project="p">a.T.m</T><E>E</E><M/><S><line>a.B.m(B.java:\u0663)</line></S></Failure></Corpus>'.encode(), "unrecognised source position"),
     (b'<Corpus><Failure><T project="p">a.T.m</T><E>E</E><M/><S><foo/></S></Failure></Corpus>', "<foo> under <S>"),
     (b"<Corpus>", "well-formed"),

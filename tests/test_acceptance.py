@@ -26,6 +26,7 @@ from flaketriage.matching import (
     MatchScope,
     TriageBasis,
     matches,
+    project_index,
     repetitiveness,
     signature,
     triage,
@@ -135,7 +136,9 @@ def test_criterion_2_reference_pair():
 
 
 def _pairwise_score(corpus, mode, scope):
+    """The confusion matrix, and each record's basis in corpus record order."""
     tp = fn = fp = tn = 0
+    bases = []
     for project in corpus.project_names():
         known = frozenset(corpus.tests(project))
         entries = []
@@ -157,6 +160,14 @@ def _pairwise_score(corpus, mode, scope):
                         hit_flaky = True
                     else:
                         hit_true = True
+            if hit_flaky and hit_true:
+                bases.append(TriageBasis.MATCHED_BOTH)
+            elif hit_flaky:
+                bases.append(TriageBasis.MATCHED_FLAKY_ONLY)
+            elif hit_true:
+                bases.append(TriageBasis.MATCHED_TRUE)
+            else:
+                bases.append(TriageBasis.MATCHED_NONE)
             if label_i is Label.FLAKY:
                 if hit_flaky and not hit_true:
                     tp += 1
@@ -166,7 +177,7 @@ def _pairwise_score(corpus, mode, scope):
                 fp += 1
             else:
                 tn += 1
-    return ConfusionMatrix(tp, fn, fp, tn)
+    return ConfusionMatrix(tp, fn, fp, tn), bases
 
 
 def _pairwise_repetitiveness(corpus, project):
@@ -205,7 +216,13 @@ def test_criterion_3_brute_force_equivalence():
         assert corpus.count() <= 500
         for scope in (MatchScope.PER_TEST, MatchScope.CROSS_TEST):
             fast = score_matching(corpus, MatchMode.FULL, scope).matrix
-            assert fast == _pairwise_score(corpus, MatchMode.FULL, scope), (seed, scope)
+            matrix, bases = _pairwise_score(corpus, MatchMode.FULL, scope)
+            assert fast == matrix, (seed, scope)
+            assert bases == [
+                basis
+                for project in corpus.project_names()
+                for basis in project_index(corpus, project).bases(MatchMode.FULL, scope)
+            ], (seed, scope)
         report = repetitiveness(corpus)
         for project in corpus.project_names():
             flaky, uniq_per_test, uniq_cross = _pairwise_repetitiveness(corpus, project)

@@ -345,6 +345,27 @@ def test_triage_matches_the_whole_project_walk(seed):
             )
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_bases_are_triage_against_the_corpus_without_the_record(seed):
+    corpus = random_corpus(seed, max_records=60)
+    # The only record of its test: without it the history does not know the
+    # test, so cross-test triage takes its stranger-test path.
+    lone = next(corpus.records("p0"))
+    corpus.add(dataclasses.replace(lone, test=TestId("p0", "com.p0.LoneTest", "m")))
+    checked = 0
+    for project in corpus.project_names():
+        index = matching.project_index(corpus, project)
+        others = [r for r in corpus.records() if r.test.project != project]
+        for i, r in enumerate(index.records):
+            rest = Corpus()
+            rest.add_all([*others, *index.records[:i], *index.records[i + 1:]])
+            for mode, scope in itertools.product(MatchMode, MatchScope):
+                want = triage(normalize(r), rest, mode, scope).basis
+                assert index.bases(mode, scope)[i] is want, (seed, project, i, mode, scope)
+            checked += 1
+    assert checked == corpus.count()
+
+
 def assert_per_test_triage_matches_the_bucket_walk(corpus):
     for query in variant_queries(corpus):
         nf = normalize(query)

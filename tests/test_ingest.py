@@ -114,13 +114,13 @@ def test_parse_raises_nothing_but_malformed_log(raw):
 def test_parse_skips_malformed_frames_with_diagnostics():
     raw = (
         "E: boom\n at a.B.c(B.java:7)\n at nonsense here\n at a.B.d(B.java:9)\n"
-        " at a.B.e(B.java:\u0663)\n"
+        " at a.B.e(B.java:\u0663)\n at a.B.f(B .java:1)\n at a.B.g( :1)\n"
     )
     diagnostics = []
     rec = parse_failure_text(raw, TestId("p", "A", "m"), diagnostics)
     assert [f.method for f in rec.frames] == ["c", "d"]
-    assert len(diagnostics) == 2
-    assert "unrecognised source position" in diagnostics[1]
+    assert len(diagnostics) == 4
+    assert all("unrecognised source position" in d for d in diagnostics[1:])
 
 
 def test_parse_stops_at_caused_by():
@@ -211,6 +211,7 @@ def test_parse_frame_rejects_bad_shapes():
         "a.B.c(B.java:1) ~[classes/:?", "a.B.c(B.java:1) [x] ~[y]",
         "a.B.c(B.java:1)~[classes/:?]", "a.B.c(B.java:x) ~[classes/:?]",
         "a.B.c(B.java:1\n)", "a.B.c(B.java:\u0663)",
+        "a.B.m(B\n.java:1)", "a.B.m( :1)", "a.B.m(B\t.java:1)",
     ):
         with pytest.raises(MalformedFrame):
             parse_frame(text)

@@ -244,6 +244,22 @@ def test_project_without_history_raises_as_before():
     assert assert_agrees(stranger, Corpus())[0] is EmptyHistory
 
 
+def test_query_of_an_unknown_project_builds_no_index(monkeypatch):
+    corpus = random_corpus(6, max_records=120)
+    builds = []
+    build = TfidfIndex.__init__
+
+    def counted(self, history, project, log_base=None):
+        build(self, history, project, log_base)
+        builds.append(project)
+
+    monkeypatch.setattr(TfidfIndex, "__init__", counted)
+    for i in range(5):
+        stranger = record(TestId(f"elsewhere{i}", "a.B", "m"), frames=SHARED)
+        assert assert_agrees(stranger, corpus)[0] is EmptyHistory
+    assert builds == [] and corpus._derived == {}
+
+
 def test_records_added_after_a_query_are_seen_by_the_next():
     history = _history(
         ("E", SHARED, Label.TRUE, "m3"),
