@@ -163,6 +163,7 @@ class _Document:
 class _Postings:
     """The documents holding one term, with the term's tf in each."""
 
+    idf: float  # log((n + 1) / (df + 1)), the term's idf in any query holding it
     documents: list[int] = field(default_factory=list)
     tfs: list[float] = field(default_factory=list)
 
@@ -174,17 +175,17 @@ class TfidfIndex:
     identical vectors and so identical similarities; its members are kept in
     history order, and its tokens. Every query joins the corpus, so the corpus
     holds ``n + 1`` documents and the query raises the document frequency of
-    its own terms by one. Each document therefore keeps its squared norm under
-    the query-free idf ``log((n + 1) / df)``, and a query corrects only its
-    own terms.
+    its own terms by one: they get their plus-one idf ``log((n + 1) / (df + 1))``.
+    Each document keeps its plus-one squared norm, every term at that idf.
 
     Scoring walks the postings of the query's terms: only documents sharing
     a term of non-zero query weight can have a non-zero similarity. That walk
     gives each such document an upper bound on its similarity, from its
-    query-free squared norm, and only documents whose bound can reach the
-    best score so far are scored exactly. An exact score is :func:`cosine` of
-    the query's and the document's :func:`_weights` vectors, the float the
-    unindexed computation gives, so ties are exact float equality.
+    plus-one norm (at most its norm under any query), and only documents
+    whose bound can reach the best score so far are scored exactly. An exact
+    score is :func:`cosine` of the query's and the document's :func:`_weights`
+    vectors, the float the unindexed computation gives, so ties are exact
+    float equality.
     """
 
     def __init__(
@@ -211,16 +212,15 @@ class TfidfIndex:
         for _, members, counts in counted:
             for term in counts:
                 self.frequencies[term] += len(members)
-        idfs = {
-            term: _log((self.size + 1) / containing, log_base)
-            for term, containing in self.frequencies.items()
+        idfs = {  # plus-one idfs, one float per document frequency
+            containing: _log((self.size + 1) / (containing + 1), log_base)
+            for containing in set(self.frequencies.values())
         }
         canonical = {term: term for term in self.frequencies}
 
         self.documents: list[_Document] = []
         self.postings: dict[str, _Postings] = {}
-        self._norms = array("d")  # each document's query-free squared norm
-        self._widest = 0  # the most distinct terms of any document
+        self.norms = array("d")  # each document's plus-one squared norm
         # Equal term frequencies recur across documents; they share a float.
         shared: dict[tuple[int, int], float] = {}
         for position, (tokens, members, counts) in enumerate(counted):
@@ -228,17 +228,17 @@ class TfidfIndex:
             for term in sorted(counts):
                 count = counts[term]
                 tf = shared.setdefault((count, len(tokens)), count / len(tokens))
-                weight = tf * idfs[term]
-                squares.append(weight * weight)
                 postings = self.postings.get(term)
                 if postings is None:
-                    postings = self.postings[term] = _Postings()
+                    postings = _Postings(idfs[self.frequencies[term]])
+                    self.postings[term] = postings
+                weight = tf * postings.idf
+                squares.append(weight * weight)
                 postings.documents.append(position)
                 postings.tfs.append(tf)
             tokens = tuple(canonical[term] for term in tokens)
             self.documents.append(_Document(tuple(members), tokens))
-            self._norms.append(sum(squares))
-            self._widest = max(self._widest, len(squares))
+            self.norms.append(sum(squares))
 
     def _similarity(self, position: int, query: WeightedVector) -> float:
         """The :func:`cosine` of the document's vector with the query's."""
@@ -246,52 +246,45 @@ class TfidfIndex:
         frequencies = {t: self.frequencies[t] + (t in query) for t in document.tokens}
         return cosine(query, _weights(document, frequencies, self.size + 1, self.log_base))
 
+    def _bounds(self, weights: WeightedVector) -> list[float]:
+        """Upper bound on each document's cosine with ``weights``; -1 where it is 0."""
+        # Sum each document's dot product with the query over the postings of
+        # the query's terms, skipping those of weight 0 (in every record).
+        dots = [0.0] * len(self.documents)
+        for term, weight in weights.items():
+            postings = self.postings.get(term)
+            if postings is None or not weight:
+                continue
+            scale = weight * postings.idf
+            for position, tf in zip(postings.documents, postings.tfs):
+                dots[position] += scale * tf
+        # A document term of history frequency df has idf
+        # log_b((n + 1) / (df + 1)) if the query holds it and log_b((n + 1) / df)
+        # if not. Both arguments are >= 1 and the first is the smaller, so under
+        # any base (below 1 both logs are <= 0) the first is the smaller in
+        # magnitude: the plus-one norm is at most the exact squared norm. The
+        # sums here round differently from cosine's sorted sum() (compensated
+        # from Python 3.12), by under terms * 2**-53 relatively as every addend
+        # is >= 0, so the bound is widened by _MARGIN. A plus-one norm of 0
+        # has a dot product of 0.
+        query_norm = math.sqrt(sum(weights[t] * weights[t] for t in sorted(weights)))
+        widen = (1.0 + _MARGIN) / query_norm
+        return [
+            dot * widen / math.sqrt(norm) if dot else -1.0
+            for dot, norm in zip(dots, self.norms)
+        ]
+
     def classify(self, query: FailureRecord) -> TriageVerdict:
         """The verdict :func:`classify_nn` gives ``query`` against this history."""
         document = tokenize(query, "query")
-        size = self.size + 1
         frequencies = {term: self.frequencies[term] + 1 for term in document.tokens}
-        weights = _weights(document, frequencies, size, self.log_base)
+        weights = _weights(document, frequencies, self.size + 1, self.log_base)
         if all(weight == 0.0 for weight in weights.values()):
             return TriageVerdict.of(0, 0)
         if self.empty_id is not None:
             raise EmptyDocument(f"document {self.empty_id!r} has no tokens")
-        query_norm = math.sqrt(sum(weights[t] * weights[t] for t in sorted(weights)))
 
-        # Bound, then rescore exactly. One walk over the query terms' postings
-        # sums each document's dot product with the query and the change the
-        # query makes to its squared norm; a zero-weight term (one in every
-        # document) adds 0.0 to each dot product and only corrects the norm.
-        terms = sorted(weights)
-        dots = [0.0] * len(self.documents)
-        cuts = [0.0] * len(self.documents)
-        for term in terms:
-            postings = self.postings.get(term)
-            if postings is None:
-                continue
-            idf = _log(size / frequencies[term], self.log_base)
-            old = _log(size / self.frequencies[term], self.log_base)
-            scale, cut = weights[term] * idf, idf * idf - old * old
-            for position, tf in zip(postings.documents, postings.tfs):
-                dots[position] += scale * tf
-                cuts[position] += cut * tf * tf
-        # Each candidate's cosine is at most its bound. The sums above differ
-        # from the exact sorted-order sums by rounding alone: the dot product
-        # by under terms * 2**-53 relatively, the corrected squared norm by
-        # under terms * 2**-53 * norm absolutely, where terms counts the
-        # document's and the query's. So the bound is widened by _MARGIN; a
-        # corrected norm at or below floor * norm, where that error could
-        # exceed half the margin, may have cancelled (a document made mostly
-        # of the query's ubiquitous terms) and gets an infinite bound.
-        # Non-candidates (dot product 0) get -1 and are never scored.
-        widen = (1.0 + _MARGIN) / query_norm
-        floor = (self._widest + 8 * len(terms) + 32) * 2.0**-52 / _MARGIN
-        bounds = [
-            -1.0 if not dot
-            else math.inf if (left := norm + cut) <= floor * norm
-            else dot * widen / math.sqrt(left)
-            for dot, cut, norm in zip(dots, cuts, self._norms)
-        ]
+        bounds = self._bounds(weights)
         # Score exactly in descending bound, until no bound can reach the best
         # score; a bound equal to it may still tie, so it is scored too.
         best, tops = 0.0, []

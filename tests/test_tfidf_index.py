@@ -27,6 +27,7 @@ from flaketriage.matching import TriageBasis, TriageVerdict
 from flaketriage.model import Corpus, FailureRecord, Label, TestId
 from flaketriage.tfidf import (
     TfidfIndex,
+    TokenDocument,
     _document_frequencies,
     _weights,
     classify_nn,
@@ -424,12 +425,13 @@ def test_runner_up_within_the_margin_is_scored_and_loses(winner, monkeypatch):
 
 
 def test_cancelled_norm_is_scored_exactly_and_wins():
-    # "u" is in every record, so the query zeroes its weight: m1's corrected
-    # norm is about 1e-9 of its query-free norm, smaller than the rounding of
-    # the correction allows to bound. m1 points exactly along the query and
-    # must beat m2, whose similarity is about 1 - 1e-7. (Found by search:
-    # without the cancellation guard, m1's rounded bound falls below m2's
-    # score, and m1 is never scored.)
+    # "u" is in every record, so the query zeroes its weight, and m1's squared
+    # norm under the query is about 1e-9 of its norm without it. An index that
+    # kept that norm and subtracted the query's correction from it lost m1 to
+    # rounding and needed a guard (found by search). A plus-one norm is a sum
+    # of squares, with "u" already at weight 0, so it has nothing to cancel:
+    # m1 points exactly along the query and must beat m2, whose similarity is
+    # about 1 - 1e-7.
     history = _token_history(
         ("m1", ".".join(["u"] * 29250 + ["a"]), Label.FLAKY),
         ("m2", ".".join(["u"] + ["a"] * 10000 + ["z"]), Label.TRUE),
@@ -443,7 +445,7 @@ def test_cancelled_norm_is_scored_exactly_and_wins():
 
 def test_bound_scores_few_candidates_on_seeded_corpora(monkeypatch):
     scored = scored_positions(monkeypatch)
-    total_scored = total_candidates = 0
+    total_scored = total_candidates = answered = 0
     for seed in range(20):
         corpus = random_corpus(seed, max_records=250)
         indexes = {p: TfidfIndex(corpus, p) for p in corpus.project_names()}
@@ -457,7 +459,40 @@ def test_bound_scores_few_candidates_on_seeded_corpora(monkeypatch):
             assert set(scored) <= candidates(index, query)
             total_scored += len(scored)
             total_candidates += len(candidates(index, query))
+            answered += 1
     assert total_scored * 10 <= total_candidates, (total_scored, total_candidates)
+    # A looser bound scores more documents well before it changes a verdict.
+    assert total_scored <= 1.05 * answered, (total_scored, answered)
+
+
+@pytest.mark.parametrize("log_base", [None, 2, 0.5])
+@pytest.mark.parametrize("seed", range(0, 100, 10))
+def test_plus_one_norms_and_bounds_hold_for_every_query(seed, log_base):
+    corpus = random_corpus(seed, max_records=120)
+    indexes = {p: TfidfIndex(corpus, p, log_base) for p in corpus.project_names()}
+    checked = 0
+    for query in queries_for(corpus, random.Random(seed)):
+        index = indexes[query.test.project]
+        doc = tokenize(query, "query")
+        frequencies = {t: index.frequencies[t] + 1 for t in doc.tokens}
+        weights = _weights(doc, frequencies, index.size + 1, log_base)
+        if not any(weights.values()):
+            continue
+        bounds = index._bounds(weights)
+        for position, document in enumerate(index.documents):
+            counts = {t: index.frequencies[t] + (t in weights) for t in document.tokens}
+            vector = _weights(
+                TokenDocument("", document.tokens), counts, index.size + 1, log_base
+            )
+            exact = sum(vector[t] * vector[t] for t in sorted(vector))
+            assert index.norms[position] <= exact
+            similarity = index._similarity(position, weights)
+            if bounds[position] == -1.0:
+                assert similarity == 0.0
+            else:
+                assert bounds[position] >= similarity
+            checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("seed", range(0, 100, 10))
