@@ -4,21 +4,26 @@ from __future__ import annotations
 import functools
 import math
 from array import array
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from typing import Callable
 
 from .errors import EmptyDocument, EmptyHistory, InvalidLogBase, UnknownTerm
 from .matching import TriageVerdict
 from .model import Corpus, FailureRecord, Label
 
-# Symbols removed before dot-splitting; each becomes a token boundary.
-_SYMBOL_TABLE = str.maketrans({c: " " for c in "():<>$,;"})
+# Dots and symbols, each a token boundary like whitespace.
+_SYMBOL_TABLE = str.maketrans({c: " " for c in "():<>$,;."})
 
 WeightedVector = dict[str, float]
 
-# Relative widening of each document's cosine bound in TfidfIndex.classify.
+# Relative widening of every upper bound on a cosine in TfidfIndex.classify.
 _MARGIN = 1e-9
+# Postings a walk takes in the time of one binary-search lookup.
+_LOOKUP_COST = 4
 
 
 @dataclass(frozen=True)
@@ -30,15 +35,12 @@ class TokenDocument:
 
 
 def tokenize_line(text: str) -> list[str]:
-    """Split one stack line into tokens: strip symbols, then split on dots.
+    """Split one stack line into tokens at whitespace, dots and symbols.
 
     ``tachyon.JournalTest.before(JournalTest.java:33)`` becomes
     ``[tachyon, JournalTest, before, JournalTest, java, 33]``.
     """
-    tokens: list[str] = []
-    for chunk in text.translate(_SYMBOL_TABLE).split():
-        tokens.extend(part for part in chunk.split(".") if part)
-    return tokens
+    return text.translate(_SYMBOL_TABLE).split()
 
 
 def tokenize(record: FailureRecord, failure_id: str = "") -> TokenDocument:
@@ -161,11 +163,12 @@ class _Document:
 
 @dataclass(frozen=True, slots=True)
 class _Postings:
-    """The documents holding one term, with the term's tf in each."""
+    """The documents holding one term, with the term's share of each."""
 
     idf: float  # log((n + 1) / (df + 1)), the term's idf in any query holding it
-    documents: list[int] = field(default_factory=list)
-    tfs: list[float] = field(default_factory=list)
+    documents: list[int]  # ascending
+    shares: list[float]  # tf / sqrt(plus-one norm) in each document
+    peak: float  # the largest share
 
 
 class TfidfIndex:
@@ -176,16 +179,25 @@ class TfidfIndex:
     history order, and its tokens. Every query joins the corpus, so the corpus
     holds ``n + 1`` documents and the query raises the document frequency of
     its own terms by one: they get their plus-one idf ``log((n + 1) / (df + 1))``.
-    Each document keeps its plus-one squared norm, every term at that idf.
+    A document's squared norm under any query lies between its plus-one norm,
+    every term at that idf, and its plus-zero norm, every term at
+    ``log((n + 1) / df)``. Each posting holds the term's share of its document,
+    ``tf / sqrt(plus-one norm)``, each term its peak share, and each document
+    its floor ``sqrt(plus-one norm / plus-zero norm)``; no query changes them.
 
-    Scoring walks the postings of the query's terms: only documents sharing
-    a term of non-zero query weight can have a non-zero similarity. That walk
-    gives each such document an upper bound on its similarity, from its
-    plus-one norm (at most its norm under any query), and only documents
-    whose bound can reach the best score so far are scored exactly. An exact
-    score is :func:`cosine` of the query's and the document's :func:`_weights`
-    vectors, the float the unindexed computation gives, so ties are exact
-    float equality.
+    Under a query ``q``, a term of weight ``w`` adds ``w·idf·share / |q|`` to
+    an upper bound on a document's cosine, and ``w·idf·peak / |q|`` bounds that
+    in every document; the bound times the document's floor is at most the
+    cosine. Scoring walks the postings of the query's terms, highest peak
+    contribution first, while the peak contributions of the terms left can
+    still reach a threshold at most the best cosine: 1 if a document has the
+    query's tokens, and raised to the lower bounds of the documents walked.
+    It completes the bounds of the documents walked from the terms left,
+    dropping those that cannot reach the threshold, and scores exactly, in
+    descending bound, only the documents whose bound can reach the best score
+    so far. An exact score is :func:`cosine` of the query's and the document's
+    :func:`_weights` vectors, the float the unindexed computation gives, so
+    ties are exact float equality.
     """
 
     def __init__(
@@ -196,8 +208,14 @@ class TfidfIndex:
         self.size = 0  # history records, duplicates included
         self.empty_id: str | None = None  # first record without tokens
         groups: dict[tuple[str, ...], list[tuple[str, Label]]] = {}
-        # Tokenizes each distinct line once; freed with this build.
-        split = functools.cache(tokenize_line)
+        # Tokenizes each distinct line once, into one string object per term;
+        # both caches are freed with this build.
+        strings: dict[str, str] = {}
+
+        @functools.cache
+        def split(line: str) -> list[str]:
+            return [strings.setdefault(token, token) for token in tokenize_line(line)]
+
         for record_id, record in history.identified_records(project):
             self.size += 1
             tokens = _tokens(record, split)
@@ -212,33 +230,42 @@ class TfidfIndex:
         for _, members, counts in counted:
             for term in counts:
                 self.frequencies[term] += len(members)
-        idfs = {  # plus-one idfs, one float per document frequency
-            containing: _log((self.size + 1) / (containing + 1), log_base)
+        idfs = {  # plus-one and plus-zero idfs, one pair per document frequency
+            containing: (_log((self.size + 1) / (containing + 1), log_base),
+                         _log((self.size + 1) / containing, log_base))
             for containing in set(self.frequencies.values())
         }
-        canonical = {term: term for term in self.frequencies}
 
         self.documents: list[_Document] = []
-        self.postings: dict[str, _Postings] = {}
-        self.norms = array("d")  # each document's plus-one squared norm
-        # Equal term frequencies recur across documents; they share a float.
-        shared: dict[tuple[int, int], float] = {}
+        # Each document's position, by its tokens.
+        self.positions = {tokens: position for position, tokens in enumerate(groups)}
+        # Each document's sqrt(plus-one norm / plus-zero norm): its cosine is
+        # at least its dot product over the plus-one norm, times this, over |q|.
+        self.floors = array("d")
+        columns: dict[str, tuple[list[int], list[float]]] = {}
         for position, (tokens, members, counts) in enumerate(counted):
-            squares = []
-            for term in sorted(counts):
-                count = counts[term]
-                tf = shared.setdefault((count, len(tokens)), count / len(tokens))
-                postings = self.postings.get(term)
-                if postings is None:
-                    postings = _Postings(idfs[self.frequencies[term]])
-                    self.postings[term] = postings
-                weight = tf * postings.idf
-                squares.append(weight * weight)
-                postings.documents.append(position)
-                postings.tfs.append(tf)
-            tokens = tuple(canonical[term] for term in tokens)
+            plus_one = plus_zero = 0.0
+            for term, count in counts.items():
+                one, zero = idfs[self.frequencies[term]]
+                tf = count / len(tokens)
+                plus_one += (tf * one) ** 2
+                plus_zero += (tf * zero) ** 2
+            # A plus-one norm of 0 has only terms of weight 0 in every query.
+            scale = 1.0 / (len(tokens) * math.sqrt(plus_one)) if plus_one else 0.0
+            # Terms of equal count in a document share one float.
+            shares = {count: count * scale for count in set(counts.values())}
+            for term, count in counts.items():
+                column = columns.get(term)
+                if column is None:
+                    column = columns[term] = ([], [])
+                column[0].append(position)
+                column[1].append(shares[count])
             self.documents.append(_Document(tuple(members), tokens))
-            self.norms.append(sum(squares))
+            self.floors.append(math.sqrt(plus_one / plus_zero))
+        self.postings = {
+            term: _Postings(idfs[self.frequencies[term]][0], documents, shares, max(shares))
+            for term, (documents, shares) in columns.items()
+        }
 
     def _similarity(self, position: int, query: WeightedVector) -> float:
         """The :func:`cosine` of the document's vector with the query's."""
@@ -246,33 +273,78 @@ class TfidfIndex:
         frequencies = {t: self.frequencies[t] + (t in query) for t in document.tokens}
         return cosine(query, _weights(document, frequencies, self.size + 1, self.log_base))
 
-    def _bounds(self, weights: WeightedVector) -> list[float]:
-        """Upper bound on each document's cosine with ``weights``; -1 where it is 0."""
-        # Sum each document's dot product with the query over the postings of
-        # the query's terms, skipping those of weight 0 (in every record).
-        dots = [0.0] * len(self.documents)
+    def _candidates(
+        self, tokens: tuple[str, ...], weights: WeightedVector
+    ) -> list[tuple[float, int]]:
+        """``(bound, position)``, highest bound first, of the documents whose
+        upper bound on their cosine with ``weights`` reaches a threshold at
+        most the best cosine; every other document's cosine is below it."""
+        # A term's scale w·idf is >= 0 (below base 1 both factors are < 0),
+        # so each term adds scale·share >= 0 to a document's dot product over
+        # its plus-one norm, and at most its peak contribution scale·peak.
+        terms = []
         for term, weight in weights.items():
             postings = self.postings.get(term)
-            if postings is None or not weight:
-                continue
-            scale = weight * postings.idf
-            for position, tf in zip(postings.documents, postings.tfs):
-                dots[position] += scale * tf
-        # A document term of history frequency df has idf
-        # log_b((n + 1) / (df + 1)) if the query holds it and log_b((n + 1) / df)
-        # if not. Both arguments are >= 1 and the first is the smaller, so under
-        # any base (below 1 both logs are <= 0) the first is the smaller in
-        # magnitude: the plus-one norm is at most the exact squared norm. The
-        # sums here round differently from cosine's sorted sum() (compensated
-        # from Python 3.12), by under terms * 2**-53 relatively as every addend
-        # is >= 0, so the bound is widened by _MARGIN. A plus-one norm of 0
-        # has a dot product of 0.
+            if postings is not None and weight:
+                scale = weight * postings.idf
+                terms.append((scale * postings.peak, scale, postings))
+        terms.sort(key=itemgetter(0), reverse=True)
+        # reach[i]: what the terms from i on can add to any dot product,
+        # summed from the end so that no subtraction rounds it low.
+        reach = [0.0] * (len(terms) + 1)
+        for i in range(len(terms) - 1, -1, -1):
+            reach[i] = terms[i][0] + reach[i + 1]
         query_norm = math.sqrt(sum(weights[t] * weights[t] for t in sorted(weights)))
+        # threshold is at most the best cosine, up to rounding: a document
+        # with the query's tokens has the query's vector, so its cosine is 1.
+        # Every sum here rounds differently from cosine's sorted sum()
+        # (compensated from Python 3.12), by under terms * 2**-53 relatively
+        # as every addend is >= 0, so each upper bound compared with the
+        # threshold or the best score is widened by _MARGIN.
+        threshold = 1.0 if tokens in self.positions else 0.0
         widen = (1.0 + _MARGIN) / query_norm
-        return [
-            dot * widen / math.sqrt(norm) if dot else -1.0
-            for dot, norm in zip(dots, self.norms)
-        ]
+
+        dots = [0.0] * len(self.documents)  # each document's dot product so far
+        ceiling = 0.0  # at least the largest of them
+        alive = None  # once no other can, the documents that may reach threshold
+        work = 0  # postings and lookups since alive was last pruned
+        for i, (limit, scale, postings) in enumerate(terms):
+            documents, shares = postings.documents, postings.shares
+            if alive is None:
+                if threshold <= reach[i] * widen <= ceiling / query_norm:
+                    # A dot product times its document's floor is at most that
+                    # document's cosine. The largest is looked for only when
+                    # the ceiling lets it end the walk.
+                    ceiling = max(dots)
+                    floor = self.floors[dots.index(ceiling)]
+                    threshold = max(threshold, ceiling * floor / query_norm)
+                if reach[i] * widen < threshold:
+                    # No document outside the terms walked can reach it.
+                    alive = [position for position in compress(range(len(dots)), dots)
+                             if (dots[position] + reach[i]) * widen >= threshold]
+            if alive is not None and len(alive) * _LOOKUP_COST < len(documents):
+                for position in alive:
+                    k = bisect_left(documents, position)
+                    if k < len(documents) and documents[k] == position:
+                        dots[position] += scale * shares[k]
+                work += len(alive) * _LOOKUP_COST
+            else:
+                for position, share in zip(documents, shares):
+                    dots[position] += scale * share
+                work += len(documents)
+            ceiling += limit
+            if alive is not None and work >= len(alive):
+                # Raise threshold and prune: a pass costs about len(alive),
+                # so no more than the work since the last one.
+                top = max(alive, key=dots.__getitem__)
+                threshold = max(threshold, dots[top] * self.floors[top] / query_norm)
+                alive = [position for position in alive
+                         if (dots[position] + reach[i + 1]) * widen >= threshold]
+                work = 0
+        if alive is None:  # every term walked
+            alive = compress(range(len(dots)), dots)
+        return sorted(((dots[position] * widen, position) for position in alive
+                       if dots[position] * widen >= threshold), reverse=True)
 
     def classify(self, query: FailureRecord) -> TriageVerdict:
         """The verdict :func:`classify_nn` gives ``query`` against this history."""
@@ -284,13 +356,11 @@ class TfidfIndex:
         if self.empty_id is not None:
             raise EmptyDocument(f"document {self.empty_id!r} has no tokens")
 
-        bounds = self._bounds(weights)
         # Score exactly in descending bound, until no bound can reach the best
         # score; a bound equal to it may still tie, so it is scored too.
         best, tops = 0.0, []
-        order = sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True)
-        for position in order:
-            if bounds[position] < best:
+        for bound, position in self._candidates(document.tokens, weights):
+            if bound < best:
                 break
             score = self._similarity(position, weights)
             if score > best:

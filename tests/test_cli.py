@@ -248,6 +248,43 @@ def test_log_that_is_not_utf8_is_a_data_error(workdir, capsys, command):
     assert err == f"error: {log}: not UTF-8: byte 0xe9 at offset 29\n"
 
 
+# Runner output above the trace, as Gradle and Maven Surefire print it. A raw
+# log must start at its exception header: a runner's preamble is not parsed.
+RUNNER_PREAMBLES = {
+    "gradle": (
+        "org.foo.BarTest > testX FAILED\n",
+        "    java.lang.AssertionError: expected 1\n"
+        "        at org.junit.Assert.fail(Assert.java:88)\n"
+        "        at org.foo.BarTest.testX(BarTest.java:12)\n",
+    ),
+    "maven-surefire": (
+        "[ERROR] testX(org.foo.BarTest)  Time elapsed: 0.01 s  <<< ERROR!\n",
+        "java.lang.AssertionError: expected 1\n"
+        "\tat org.junit.Assert.fail(Assert.java:88)\n"
+        "\tat org.foo.BarTest.testX(BarTest.java:12)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(RUNNER_PREAMBLES))
+@pytest.mark.parametrize("command", ["parse", "classify"])
+def test_runner_preamble_above_the_trace_is_a_data_error(workdir, capsys, command, runner):
+    preamble, trace = RUNNER_PREAMBLES[runner]
+    (workdir / "runner.log").write_text(preamble + trace)
+    (workdir / "trace.log").write_text(trace)
+    if command == "parse":
+        args = ("parse", "--project", "p", "--test", "org.foo.BarTest.testX", "--in")
+    else:
+        args = ("classify", "--corpus", workdir / "corpus.xml", "--method", "match",
+                "--test", "tachyon.JournalTest.TableTest", "--failure")
+    code, out, err = run(capsys, *args, workdir / "runner.log")
+    assert (code, out) == (EXIT_DATA, "")
+    assert err == f"error: cannot identify an exception header in {preamble[:-1]!r}\n"
+    # The same log from its exception header on is read.
+    code, out, err = run(capsys, *args, workdir / "trace.log")
+    assert code in (EXIT_OK, EXIT_TRUE_FAILURE) and err == ""
+
+
 def test_parse_reads_frames_with_packaging_suffixes(workdir, capsys):
     plain = "java.lang.IllegalStateException: x\n\tat a.B.go(B.java:3)\n\tat a.B.test(B.java:1)\n"
     (workdir / "plain.log").write_text(plain)

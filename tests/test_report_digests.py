@@ -3,9 +3,10 @@
 The benchmark's committed digests cover corpus-stats and evaluate with
 match, cross-test match, tree and bayes at their defaults; these digests pin
 the reports it does not run: oversampled cross-validation, tf-idf
-cross-validation and a classify verdict of each trained classifier. The
-corpus is small and generated, and its true failures are under 10% of its
-flaky ones in every training fold, so ``--oversample`` adds copies.
+cross-validation, and a classify verdict of each trained classifier and of
+the nearest-neighbour method. The corpus is small and generated, and its
+true failures are under 10% of its flaky ones in every training fold, so
+``--oversample`` adds copies.
 """
 import hashlib
 import json
@@ -70,6 +71,14 @@ REPORTS = {
     "classify-bayes-true": (
         ["--method", "bayes", "--failure", "true.log"],
         "c7f1c38d2c384fa7f2bb188fe31334a93ee719b208bfb847156b34d8f001a898",
+    ),
+    "classify-tfidf-flaky": (
+        ["--method", "tfidf", "--failure", "flaky.log"],
+        "41b1a4e6af322c2b01171eed51d51e6acef681ca0b74c8b26e7a9283f49ebf95",
+    ),
+    "classify-tfidf-true": (
+        ["--method", "tfidf", "--failure", "true.log"],
+        "ba644027eed977e372c3c64823f0ef7ff6b43a2a996005f05d66c2f11b9342a1",
     ),
 }
 

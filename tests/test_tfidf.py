@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from flaketriage.errors import EmptyDocument, EmptyHistory, UnknownTerm
 from flaketriage.matching import TriageBasis
 from flaketriage.model import Corpus, Label, TestId
+from flaketriage.synth import GeneratorConfig, generate
 from flaketriage.tfidf import (
     TokenDocument,
     classify_nn,
@@ -21,7 +22,7 @@ from flaketriage.tfidf import (
     vectorize,
 )
 
-from conftest import frame, record
+from conftest import frame, random_corpus, record
 
 
 def doc(*tokens, failure_id="d"):
@@ -43,6 +44,51 @@ def test_tokenize_line_native_method():
 
 def test_tokenize_line_strips_symbols():
     assert tokenize_line("a.B$1.<run>(B.java:9);") == ["a", "B", "1", "run", "B", "java", "9"]
+
+
+def two_level_split(text: str) -> list[str]:
+    """The earlier tokenizer: strip symbols, split on whitespace, then on dots."""
+    tokens: list[str] = []
+    for chunk in text.translate(str.maketrans({c: " " for c in "():<>$,;"})).split():
+        tokens.extend(part for part in chunk.split(".") if part)
+    return tokens
+
+
+@given(
+    st.text(
+        alphabet=st.one_of(
+            st.sampled_from("....():<>$,;"),
+            st.sampled_from(" \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2000\u2028\u3000"),
+            st.characters(),
+        ),
+        max_size=60,
+    )
+)
+@settings(max_examples=500)
+def test_tokenize_line_agrees_with_the_two_level_split(text):
+    assert tokenize_line(text) == two_level_split(text)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_tokenize_line_agrees_with_the_two_level_split_on_seeded_corpora(seed):
+    corpus = random_corpus(seed)
+    corpus.add_all(generate(GeneratorConfig.from_dict({
+        "seed": seed,
+        "projects": 1,
+        "tests_per_project": {"constant": 2},
+        "flaky_signatures_per_test": {"constant": 2},
+        "flaky_occurrences_per_signature": {"constant": 2},
+        "true_failures_per_test": {"constant": 2},
+        "exception_pool": [
+            {"name": "UnknownHostException", "weight": 1.0},
+            {"name": "AssertionError", "weight": 1.0, "shared_across_labels": True},
+        ],
+    })).records())
+    lines = {r.exception_type for r in corpus.records()}
+    lines.update(f.raw for r in corpus.records() for f in r.frames)
+    assert lines
+    for line in lines:
+        assert tokenize_line(line) == two_level_split(line)
 
 
 def test_tokenize_record_exception_only():

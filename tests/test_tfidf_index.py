@@ -7,6 +7,7 @@ must give the same verdict, basis and evidence, and raise the same errors.
 """
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 import random
@@ -16,6 +17,7 @@ import threading
 import pytest
 
 from conftest import frame, random_corpus, record
+from flaketriage import tfidf
 from flaketriage.errors import (
     EmptyDocument,
     EmptyHistory,
@@ -25,10 +27,13 @@ from flaketriage.errors import (
 from flaketriage.evaluation import cross_validate_project, labeled_failures, tfidf_trainer
 from flaketriage.matching import TriageBasis, TriageVerdict
 from flaketriage.model import Corpus, FailureRecord, Label, TestId
+from flaketriage.synth import GeneratorConfig, generate
 from flaketriage.tfidf import (
+    _MARGIN,
     TfidfIndex,
     TokenDocument,
     _document_frequencies,
+    _log,
     _weights,
     classify_nn,
     cosine,
@@ -465,34 +470,154 @@ def test_bound_scores_few_candidates_on_seeded_corpora(monkeypatch):
     assert total_scored <= 1.05 * answered, (total_scored, answered)
 
 
+def query_weights(index: TfidfIndex, query: FailureRecord, log_base) -> dict:
+    doc = tokenize(query, "query")
+    frequencies = {t: index.frequencies[t] + 1 for t in doc.tokens}
+    return _weights(doc, frequencies, index.size + 1, log_base)
+
+
+def squared_norm(index: TfidfIndex, tokens: tuple[str, ...], held, log_base) -> float:
+    """A document's squared norm, its terms in ``held`` at their plus-one idf."""
+    n = index.size
+    return math.fsum(
+        (tokens.count(t) / len(tokens)
+         * _log((n + 1) / (index.frequencies[t] + (t in held)), log_base)) ** 2
+        for t in set(tokens)
+    )
+
+
 @pytest.mark.parametrize("log_base", [None, 2, 0.5])
 @pytest.mark.parametrize("seed", range(0, 100, 10))
-def test_plus_one_norms_and_bounds_hold_for_every_query(seed, log_base):
+def test_peaks_bound_every_share_and_shares_every_cosine(seed, log_base):
     corpus = random_corpus(seed, max_records=120)
     indexes = {p: TfidfIndex(corpus, p, log_base) for p in corpus.project_names()}
+    for index in indexes.values():
+        for term, postings in index.postings.items():
+            assert postings.documents == sorted(postings.documents)
+            for position, share in zip(postings.documents, postings.shares):
+                tokens = index.documents[position].tokens
+                norm = squared_norm(index, tokens, tokens, log_base)
+                tf = tokens.count(term) / len(tokens)
+                assert postings.peak >= share
+                if not norm:  # every term in every record: weight 0 in any query
+                    assert share == 0.0
+                    continue
+                # Equal up to rounding, which _MARGIN covers.
+                assert share == pytest.approx(tf / math.sqrt(norm), rel=1e-12)
+                assert postings.peak >= tf / math.sqrt(norm) * (1 - 1e-12)
     checked = 0
     for query in queries_for(corpus, random.Random(seed)):
         index = indexes[query.test.project]
-        doc = tokenize(query, "query")
-        frequencies = {t: index.frequencies[t] + 1 for t in doc.tokens}
-        weights = _weights(doc, frequencies, index.size + 1, log_base)
+        weights = query_weights(index, query, log_base)
         if not any(weights.values()):
             continue
-        bounds = index._bounds(weights)
+        query_norm = math.sqrt(math.fsum(w * w for w in weights.values()))
         for position, document in enumerate(index.documents):
-            counts = {t: index.frequencies[t] + (t in weights) for t in document.tokens}
-            vector = _weights(
-                TokenDocument("", document.tokens), counts, index.size + 1, log_base
+            dot = math.fsum(
+                weights[t] * index.postings[t].idf
+                * index.postings[t].shares[index.postings[t].documents.index(position)]
+                for t in set(document.tokens) if weights.get(t)
             )
-            exact = sum(vector[t] * vector[t] for t in sorted(vector))
-            assert index.norms[position] <= exact
             similarity = index._similarity(position, weights)
-            if bounds[position] == -1.0:
-                assert similarity == 0.0
-            else:
-                assert bounds[position] >= similarity
+            # The shares' dot product bounds the cosine from above, and times
+            # the floor from below; the floor is what the plus-zero norm
+            # (every term at log((n + 1) / df)) keeps of the plus-one norm.
+            assert dot * (1 + _MARGIN) / query_norm >= similarity
+            assert dot * index.floors[position] * (1 - _MARGIN) / query_norm <= similarity
+            exact = squared_norm(index, document.tokens, weights, log_base)
+            plus_zero = squared_norm(index, document.tokens, (), log_base)
+            assert squared_norm(index, document.tokens, document.tokens, log_base) <= exact
+            assert exact <= plus_zero
             checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("log_base", [None, 2, 0.5])
+@pytest.mark.parametrize("seed", range(0, 100, 10))
+def test_every_document_not_scored_is_below_the_best_score(seed, log_base, monkeypatch):
+    corpus = random_corpus(seed, max_records=120)
+    indexes = {p: TfidfIndex(corpus, p, log_base) for p in corpus.project_names()}
+    similarity = TfidfIndex._similarity
+    scored = scored_positions(monkeypatch)
+    checked = 0
+    for query in queries_for(corpus, random.Random(seed)):
+        index = indexes[query.test.project]
+        scored.clear()
+        try:
+            verdict = index.classify(query)
+        except FlakeTriageError:
+            continue
+        weights = query_weights(index, query, log_base)
+        scores = [similarity(index, p, weights) for p in range(len(index.documents))]
+        best = max(scores)
+        if best == 0.0:
+            assert verdict.basis is TriageBasis.MATCHED_NONE
+            continue
+        unscored = set(range(len(scores))) - set(scored)
+        assert all(scores[p] < best for p in unscored)
+        checked += len(unscored)
+    assert checked
+
+
+def gate_nn_history(seed: int) -> tuple[Corpus, list[FailureRecord]]:
+    """One project in the gate-nn shape: many duplicate traces, and package
+    terms in most records but not all. Every eighth record is a query."""
+    config = GeneratorConfig.from_dict({
+        "seed": seed,
+        "projects": 1,
+        "tests_per_project": {"constant": 6},
+        "flaky_signatures_per_test": {"uniform": [1, 4]},
+        "flaky_occurrences_per_signature": {"geometric": 0.1},
+        "true_failures_per_test": {"uniform": [5, 30]},
+        "frame_depth": [3, 12],
+        "exception_pool": [
+            {"name": "UnknownHostException", "weight": 3},
+            {"name": "AssertionError", "weight": 2, "shared_across_labels": True},
+            {"name": "NullPointerException", "weight": 2, "only_label": "true"},
+        ],
+    })
+    records = list(generate(config).records())
+    history = Corpus()
+    history.add_all(r for i, r in enumerate(records) if i % 8)
+    queries = [dataclasses.replace(r, label=None) for r in records[::8]]
+    return history, queries
+
+
+class CountedList(list):
+    """Postings documents that count the entries each walk visits."""
+
+    visits = 0
+
+    def __iter__(self):
+        CountedList.visits += len(self)
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_walk_skips_postings_on_a_gate_nn_shaped_history(seed, monkeypatch):
+    history, queries = gate_nn_history(seed)
+    index = TfidfIndex(history, "proj00")
+    for term, postings in index.postings.items():
+        index.postings[term] = dataclasses.replace(
+            postings, documents=CountedList(postings.documents)
+        )
+    lookups = []
+    monkeypatch.setattr(
+        tfidf, "bisect_left", lambda a, x: lookups.append(x) or bisect.bisect_left(a, x)
+    )
+    fewer = 0
+    for query in queries:
+        weights = query_weights(index, query, None)
+        full = sum(
+            len(index.postings[t].documents) for t, w in weights.items()
+            if w and t in index.postings
+        )
+        CountedList.visits = 0
+        lookups.clear()
+        assert index.classify(query) == oracle_classify_nn(query, history)
+        fewer += CountedList.visits + len(lookups) < full
+    assert len(queries) >= 20
+    assert 2 * fewer >= len(queries), (fewer, len(queries))
 
 
 @pytest.mark.parametrize("seed", range(0, 100, 10))
