@@ -36,6 +36,11 @@ EXIT_TRUE_FAILURE = 3
 
 _MODES = {"full": MatchMode.FULL, "exception-only": MatchMode.EXCEPTION_ONLY}
 _SCOPES = {"per-test": MatchScope.PER_TEST, "cross-test": MatchScope.CROSS_TEST}
+# Each trained classifier's trainer, and the detail classify prints with it.
+_CLASSIFIERS = {
+    "tree": (evaluation.tree_trainer, "decision_tree"),
+    "bayes": (evaluation.bayes_trainer, "naive_bayes"),
+}
 # The flags only some methods read: each one's value when unset, and the
 # methods that read it. Any other method given the flag is a usage error.
 _METHOD_FLAGS = {
@@ -212,32 +217,20 @@ def _cmd_classify(args) -> int:
     test = TestId(project, class_fqn, method)
     record = _parse_failure(args.failure, test)
 
-    evidence: tuple[str, ...] = ()
-    if args.method == "match":
-        verdict = triage(
-            normalize(record), corpus, _MODES[args.mode], _SCOPES[args.scope]
-        )
-        predicted, detail, evidence = (
-            verdict.predicted,
-            verdict.basis.value,
-            verdict.evidence,
-        )
-    elif args.method == "tfidf":
-        verdict = classify_nn(record, corpus)
-        predicted, detail, evidence = (
-            verdict.predicted,
-            verdict.basis.value,
-            verdict.evidence,
-        )
+    if args.method in _CLASSIFIERS:
+        make_trainer, detail = _CLASSIFIERS[args.method]
+        predictor = make_trainer()(evaluation.project_index(corpus, project).normalized)
+        predicted, evidence = predictor(normalize(record)), ()
     else:
-        trainer = (
-            evaluation.tree_trainer()
-            if args.method == "tree"
-            else evaluation.bayes_trainer()
+        if args.method == "match":
+            verdict = triage(
+                normalize(record), corpus, _MODES[args.mode], _SCOPES[args.scope]
+            )
+        else:
+            verdict = classify_nn(record, corpus)
+        predicted, detail, evidence = (
+            verdict.predicted, verdict.basis.value, verdict.evidence
         )
-        predictor = trainer(evaluation.project_index(corpus, project).normalized)
-        predicted = predictor(normalize(record))
-        detail = "decision_tree" if args.method == "tree" else "naive_bayes"
 
     print(f"{predicted} ({detail})")
     for record_id in evidence:
@@ -338,10 +331,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _make_trainer(args) -> evaluation.Trainer:
-    if args.method == "tree":
-        return evaluation.tree_trainer(args.oversample, args.seed)
-    if args.method == "bayes":
-        return evaluation.bayes_trainer(args.oversample, args.seed)
+    if args.method in _CLASSIFIERS:
+        return _CLASSIFIERS[args.method][0](args.oversample, args.seed)
     return evaluation.tfidf_trainer()
 
 

@@ -37,7 +37,7 @@ from .matching import (
     project_index,
 )
 from .model import Corpus, KnownTests, Label, TestId
-from .tfidf import classify_nn
+from .tfidf import TfidfIndex
 
 MIN_FLAKY_FOR_CV = 10
 DEFAULT_FOLDS = 5
@@ -427,14 +427,17 @@ def bayes_trainer(oversampled: bool = False, seed: int = 0) -> Trainer:
 
 
 def tfidf_trainer() -> Trainer:
+    """Nearest-neighbour strategy: predict the label that
+    :func:`~flaketriage.tfidf.classify_nn` gives against the training failures.
+
+    Each fold's :class:`TfidfIndex` is built straight from its failures, under
+    the record ids a corpus of them would give (:attr:`ProjectIndex.ids`).
+    """
+
     def train(normalized: Sequence[NormalizedFailure]) -> Predictor:
-        history = Corpus()
-        history.add_all(nf.base for nf in normalized)
-
-        def predictor(nf: NormalizedFailure) -> Label:
-            return classify_nn(nf.base, history).predicted
-
-        return predictor
+        fold = ProjectIndex(normalized)
+        index = TfidfIndex(zip(fold.ids, fold.records))
+        return lambda nf: index.classify(nf.base).predicted
 
     return train
 

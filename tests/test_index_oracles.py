@@ -736,17 +736,21 @@ def _count_normalize(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize(
+every_trainer = pytest.mark.parametrize(
     "make_trainer",
     [
         evaluation.match_trainer,
         lambda: evaluation.match_trainer(MatchMode.FULL, MatchScope.CROSS_TEST),
         tree_trainer,
+        bayes_trainer,
         lambda: bayes_trainer(True, 2),
         evaluation.tfidf_trainer,
     ],
-    ids=["match", "match-cross-test", "tree", "bayes-oversample", "tfidf"],
+    ids=["match", "match-cross-test", "tree", "bayes", "bayes-oversample", "tfidf"],
 )
+
+
+@every_trainer
 def test_cross_validation_normalizes_nothing(monkeypatch, make_trainer):
     corpus = random_corpus(7, max_records=120)
     projects = [evaluation.labeled_failures(corpus, p) for p in corpus.project_names()]
@@ -754,6 +758,25 @@ def test_cross_validation_normalizes_nothing(monkeypatch, make_trainer):
     for flaky, true in projects:
         cross_validate_project(flaky, true, 3, make_trainer(), 5)
     assert calls == []
+
+
+@every_trainer
+def test_cross_validation_builds_no_corpus(monkeypatch, make_trainer):
+    # A trainer indexes the fold's failures it is given; a fold Corpus would
+    # only hand the same records back.
+    corpus = random_corpus(7, max_records=120)
+    projects = [evaluation.labeled_failures(corpus, p) for p in corpus.project_names()]
+    built = []
+    init = Corpus.__init__
+
+    def counted(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(Corpus, "__init__", counted)
+    for flaky, true in projects:
+        cross_validate_project(flaky, true, 3, make_trainer(), 5)
+    assert built == []
 
 
 def test_cv_and_exception_table_normalize_each_record_once(monkeypatch):

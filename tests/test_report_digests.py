@@ -3,8 +3,10 @@
 The benchmark's committed digests cover corpus-stats and evaluate with
 match, cross-test match, tree and bayes at their defaults; these digests pin
 the reports it does not run: oversampled cross-validation, tf-idf
-cross-validation, and a classify verdict of each trained classifier and of
-the nearest-neighbour method. The corpus is small and generated, and its
+cross-validation, and a classify verdict of each method, exact matching in
+both scopes included. On these two query logs, matching in either scope
+prints the same verdict and evidence as the nearest-neighbour method, so
+those digests coincide; each still pins its own command. The corpus is small and generated, and its
 true failures are under 10% of its flaky ones in every training fold, so
 ``--oversample`` adds copies.
 """
@@ -52,6 +54,10 @@ REPORTS = {
         ["--method", "bayes", "--oversample", "--k", "3", "--seed", "4"],
         "d1d0d00cc72aefe507ffbeb85f3e84cf1756f37d5da2c5035ab19c8ebd1d6259",
     ),
+    "evaluate-tfidf": (
+        ["--method", "tfidf"],
+        "3a30903b6ab8d8da84b46d98d9fe288a2ebc48074cd73fb5d73a4930da95528a",
+    ),
     "evaluate-tfidf-k3": (
         ["--method", "tfidf", "--k", "3"],
         "ed3336b7be187165aa7a86f0a380d28b6a30b996598f9da159d8d321a7f5aab3",
@@ -71,6 +77,22 @@ REPORTS = {
     "classify-bayes-true": (
         ["--method", "bayes", "--failure", "true.log"],
         "c7f1c38d2c384fa7f2bb188fe31334a93ee719b208bfb847156b34d8f001a898",
+    ),
+    "classify-match-flaky": (
+        ["--method", "match", "--failure", "flaky.log"],
+        "41b1a4e6af322c2b01171eed51d51e6acef681ca0b74c8b26e7a9283f49ebf95",
+    ),
+    "classify-match-true": (
+        ["--method", "match", "--failure", "true.log"],
+        "ba644027eed977e372c3c64823f0ef7ff6b43a2a996005f05d66c2f11b9342a1",
+    ),
+    "classify-match-cross-test-flaky": (
+        ["--method", "match", "--scope", "cross-test", "--failure", "flaky.log"],
+        "41b1a4e6af322c2b01171eed51d51e6acef681ca0b74c8b26e7a9283f49ebf95",
+    ),
+    "classify-match-cross-test-true": (
+        ["--method", "match", "--scope", "cross-test", "--failure", "true.log"],
+        "ba644027eed977e372c3c64823f0ef7ff6b43a2a996005f05d66c2f11b9342a1",
     ),
     "classify-tfidf-flaky": (
         ["--method", "tfidf", "--failure", "flaky.log"],

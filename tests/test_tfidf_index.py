@@ -87,6 +87,11 @@ def oracle_classify_nn(
     return TriageVerdict(Label.TRUE, basis, evidence)
 
 
+def project_of(records: list[tuple[str, FailureRecord]]) -> str:
+    """The project of indexed records, read from the first record id."""
+    return records[0][0].split("/")[0]
+
+
 def outcome(classify, query, history, log_base=None):
     """The verdict, or the type and text of the error raised instead."""
     try:
@@ -255,9 +260,10 @@ def test_query_of_an_unknown_project_builds_no_index(monkeypatch):
     builds = []
     build = TfidfIndex.__init__
 
-    def counted(self, history, project, log_base=None):
-        build(self, history, project, log_base)
-        builds.append(project)
+    def counted(self, records, log_base=None):
+        records = list(records)
+        build(self, records, log_base)
+        builds.append(project_of(records))
 
     monkeypatch.setattr(TfidfIndex, "__init__", counted)
     for i in range(5):
@@ -286,9 +292,10 @@ def test_one_index_per_history_and_log_base(monkeypatch):
     builds = []
     build = TfidfIndex.__init__
 
-    def counted(self, history, project, log_base=None):
-        builds.append((project, log_base))
-        build(self, history, project, log_base)
+    def counted(self, records, log_base=None):
+        records = list(records)
+        builds.append((project_of(records), log_base))
+        build(self, records, log_base)
 
     monkeypatch.setattr(TfidfIndex, "__init__", counted)
     corpus = random_corpus(7, max_records=120)
@@ -344,9 +351,10 @@ def test_tfidf_cv_matches_the_oracle_trainer(seed, monkeypatch):
     builds = []
     build = TfidfIndex.__init__
 
-    def counted(self, *args):
-        builds.append(args[1])
-        build(self, *args)
+    def counted(self, records, *args):
+        records = list(records)
+        builds.append(project_of(records))
+        build(self, records, *args)
 
     monkeypatch.setattr(TfidfIndex, "__init__", counted)
     corpus = random_corpus(seed, max_records=150)
@@ -360,6 +368,65 @@ def test_tfidf_cv_matches_the_oracle_trainer(seed, monkeypatch):
         assert got == cross_validate_project(flaky, true, 3, oracle_tfidf_trainer(), seed)
         assert builds == [project] * 3  # one index per fold
         compared += 1
+    assert compared
+
+
+def index_facts(index: TfidfIndex) -> tuple:
+    """What an index holds, free of the order it met its records in."""
+    return (
+        {d.tokens: sorted(d.members) for d in index.documents},
+        {d.tokens: floor for d, floor in zip(index.documents, index.floors)},
+        index.frequencies,
+        {t: (p.idf, p.peak) for t, p in index.postings.items()},
+    )
+
+
+def classify_outcome(index: TfidfIndex, query: FailureRecord):
+    """The verdict, or the type of the error raised instead."""
+    try:
+        return index.classify(query)
+    except FlakeTriageError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("seed", range(0, 50, 5))
+def test_fold_index_agrees_with_an_index_over_a_fold_corpus(seed, monkeypatch):
+    # The trainer indexes a fold's failures in fold order, a fold Corpus
+    # hands them back in test order: the two indexes hold the same facts
+    # and give every held-out record the same verdict.
+    built = []
+    build = TfidfIndex.__init__
+
+    def kept(self, *args):
+        build(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(TfidfIndex, "__init__", kept)
+    trainer = tfidf_trainer()
+    folds = []
+
+    def train(normalized):
+        predictor, held_out = trainer(normalized), []
+        folds.append((normalized, built[-1], held_out))
+        return lambda nf: held_out.append(nf) or predictor(nf)
+
+    corpus = random_corpus(seed, max_records=150)
+    compared = 0
+    for project in corpus.project_names():
+        flaky, true = labeled_failures(corpus, project)
+        if min(len(flaky), len(true)) < 3:
+            continue
+        folds.clear()
+        cross_validate_project(flaky, true, 3, train, seed)
+        for normalized, index, held_out in folds:
+            history = Corpus()
+            history.add_all(nf.base for nf in normalized)
+            expected = TfidfIndex(history.identified_records(project))
+            assert index_facts(index) == index_facts(expected)
+            assert held_out
+            for nf in held_out:
+                assert classify_outcome(index, nf.base) == classify_outcome(expected, nf.base)
+            compared += 1
     assert compared
 
 
@@ -453,7 +520,9 @@ def test_bound_scores_few_candidates_on_seeded_corpora(monkeypatch):
     total_scored = total_candidates = answered = 0
     for seed in range(20):
         corpus = random_corpus(seed, max_records=250)
-        indexes = {p: TfidfIndex(corpus, p) for p in corpus.project_names()}
+        indexes = {
+            p: TfidfIndex(corpus.identified_records(p)) for p in corpus.project_names()
+        }
         for query in queries_for(corpus, random.Random(seed)):
             index = indexes[query.test.project]
             scored.clear()
@@ -490,7 +559,10 @@ def squared_norm(index: TfidfIndex, tokens: tuple[str, ...], held, log_base) -> 
 @pytest.mark.parametrize("seed", range(0, 100, 10))
 def test_peaks_bound_every_share_and_shares_every_cosine(seed, log_base):
     corpus = random_corpus(seed, max_records=120)
-    indexes = {p: TfidfIndex(corpus, p, log_base) for p in corpus.project_names()}
+    indexes = {
+        p: TfidfIndex(corpus.identified_records(p), log_base)
+        for p in corpus.project_names()
+    }
     for index in indexes.values():
         for term, postings in index.postings.items():
             assert postings.documents == sorted(postings.documents)
@@ -536,7 +608,10 @@ def test_peaks_bound_every_share_and_shares_every_cosine(seed, log_base):
 @pytest.mark.parametrize("seed", range(0, 100, 10))
 def test_every_document_not_scored_is_below_the_best_score(seed, log_base, monkeypatch):
     corpus = random_corpus(seed, max_records=120)
-    indexes = {p: TfidfIndex(corpus, p, log_base) for p in corpus.project_names()}
+    indexes = {
+        p: TfidfIndex(corpus.identified_records(p), log_base)
+        for p in corpus.project_names()
+    }
     similarity = TfidfIndex._similarity
     scored = scored_positions(monkeypatch)
     checked = 0
@@ -596,7 +671,7 @@ class CountedList(list):
 @pytest.mark.parametrize("seed", range(6))
 def test_walk_skips_postings_on_a_gate_nn_shaped_history(seed, monkeypatch):
     history, queries = gate_nn_history(seed)
-    index = TfidfIndex(history, "proj00")
+    index = TfidfIndex(history.identified_records("proj00"))
     for term, postings in index.postings.items():
         index.postings[term] = dataclasses.replace(
             postings, documents=CountedList(postings.documents)
@@ -625,7 +700,7 @@ def test_index_counts_the_same_tokens_as_tokenize(seed):
     corpus = random_corpus(seed)
     for project in corpus.project_names():
         docs = [tokenize(r) for _, r in corpus.identified_records(project)]
-        index = TfidfIndex(corpus, project)
+        index = TfidfIndex(corpus.identified_records(project))
         assert index.frequencies == _document_frequencies(docs)
         assert len(index.documents) == len({d.tokens for d in docs if d.tokens})
 
@@ -636,7 +711,7 @@ def test_documents_hold_the_postings_key_of_each_term(seed):
     # the tokens as built would keep a copy of each term per distinct line.
     corpus = random_corpus(seed)
     for project in corpus.project_names():
-        index = TfidfIndex(corpus, project)
+        index = TfidfIndex(corpus.identified_records(project))
         keys = {term: term for term in index.postings}
         for document in index.documents:
             assert all(keys[token] is token for token in document.tokens)
@@ -659,4 +734,4 @@ def test_invalid_log_base_is_rejected_before_any_index(log_base, monkeypatch):
     assert repr(log_base) in str(excinfo.value)
     assert derived == []
     with pytest.raises(InvalidLogBase):
-        TfidfIndex(history, "p", log_base)
+        TfidfIndex(history.identified_records("p"), log_base)
