@@ -88,7 +88,7 @@ class FeatureContext:
         excluded = self.known.name_to_exclude(test)
         known_classes = self.known.classes
         frames = nf.kept_frames
-        lines = [f.render() for f in frames]
+        lines = [f.rendered for f in frames]
         return FeatureVector(
             exception_type=nf.base.exception_type,
             test_name_in_trace=any(line.startswith(full_name) for line in lines),

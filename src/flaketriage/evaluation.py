@@ -13,7 +13,7 @@ import json
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .classifier import (
     FeatureContext,
@@ -36,7 +36,7 @@ from .matching import (
     TriageBasis,
     project_index,
 )
-from .model import Corpus, KnownTests, Label, TestId
+from .model import Corpus, FailureRecord, KnownTests, Label, TestId
 from .tfidf import TfidfIndex
 
 MIN_FLAKY_FOR_CV = 10
@@ -124,6 +124,32 @@ def _confusion(counts: Counter[tuple[Label, TriageBasis]]) -> ConfusionMatrix:
     return ConfusionMatrix(tp, fn, fp, tn)
 
 
+def _outcomes(
+    index: ProjectIndex, mode: MatchMode, scope: MatchScope
+) -> Iterator[tuple[FailureRecord, Label, TriageBasis, int]]:
+    """``(record, label, basis, n)``: ``n`` failures like ``record`` but
+    labeled ``label`` whose leave-one-out basis is ``basis``.
+
+    Under PER_TEST, a match group's records share their test and exception,
+    so each group gives one entry per label it holds: its flaky records have
+    the basis of its counts with one flaky taken out, its true records that
+    with one true taken out. A CROSS_TEST group spans tests, so it gives one
+    entry per record.
+    """
+    records = index.records
+    if scope is MatchScope.CROSS_TEST:
+        for record, basis in zip(records, index.bases(mode, scope)):
+            yield record, record.label, basis, 1
+        return
+    groups = index.groups(mode, scope).values()
+    for positions, (flaky, true) in zip(groups, index.counts(mode, scope)):
+        record = records[positions[0]]
+        if flaky:
+            yield record, Label.FLAKY, TriageBasis.of(flaky - 1, true), flaky
+        if true:
+            yield record, Label.TRUE, TriageBasis.of(flaky, true - 1), true
+
+
 def score_project(
     corpus: Corpus,
     project: str,
@@ -133,8 +159,8 @@ def score_project(
     """Score every labeled failure of one project against the rest of its scope."""
     index = project_index(corpus, project)
     per_test: dict[TestId, Counter[tuple[Label, TriageBasis]]] = defaultdict(Counter)
-    for record, basis in zip(index.records, index.bases(mode, scope)):
-        per_test[record.test][record.label, basis] += 1
+    for record, label, basis, n in _outcomes(index, mode, scope):
+        per_test[record.test][label, basis] += n
     matrices = [_confusion(counts) for counts in per_test.values()]
     return ScoreResult(
         sum(matrices, ConfusionMatrix()),
@@ -192,13 +218,12 @@ def exception_frequency(corpus: Corpus, mode: MatchMode) -> list[ExceptionRow]:
     counters: dict[str, Counter[tuple[Label, TriageBasis]]] = {}
     for project in corpus.project_names():
         index = project_index(corpus, project)
-        bases = index.bases(mode, MatchScope.PER_TEST)
-        for record, basis in zip(index.records, bases):
+        for record, label, basis, n in _outcomes(index, mode, MatchScope.PER_TEST):
             exception_type = record.exception_type
             projects.setdefault(exception_type, set()).add(project)
             tests.setdefault(exception_type, set()).add(record.test)
             counter = counters.setdefault(exception_type, Counter())
-            counter[record.label, basis] += 1
+            counter[label, basis] += n
     rows = []
     for name, counter in counters.items():
         cm = _confusion(counter)

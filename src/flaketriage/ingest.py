@@ -98,10 +98,11 @@ def parse_frame(text: str) -> StackFrame:
 
 
 def _parse_frame(
-    text: str, locations: dict[str, tuple[str, str]]
+    text: str, locations: dict[str, tuple[str, str, str]]
 ) -> StackFrame:
-    """:func:`parse_frame`, reusing the interned (class, method) pair that
-    ``locations`` holds for a ``CLASS.METHOD`` text, and adding new ones."""
+    """:func:`parse_frame`, reusing the interned (class, method, location)
+    names that ``locations`` holds for a ``CLASS.METHOD`` text, and adding
+    new ones."""
     stripped = text.strip()
     match = _FRAME_RE.match(stripped)
     if match is None:
@@ -123,18 +124,24 @@ def _parse_frame(
         # has 197 classes and 53 methods in 23k distinct frames); one object
         # per name keeps the names that matching reads few and close in
         # memory.
-        names = locations[loc] = (sys.intern(class_fqn), sys.intern(method))
-    class_fqn, method = names
+        names = locations[loc] = (sys.intern(class_fqn), sys.intern(method), loc)
+    class_fqn, method, location = names
     # The grammar has checked what StackFrame's own checks would: the class
     # has no whitespace, class and method are not empty, and a line is
-    # ASCII digits, so not negative.
+    # ASCII digits, so not negative. ``stripped`` is ``LOCATION(WHERE)``.
     if where in _NO_SOURCE:
-        return _prechecked_frame(class_fqn, method, None, None, stripped)
+        return _prechecked_frame(class_fqn, method, None, None, stripped, location, stripped)
     source = _SOURCE_RE.match(where)
     if source is None:
         raise MalformedFrame(f"unrecognised source position {where!r} in {text!r}")
-    file, line = source.groups()
-    return _prechecked_frame(class_fqn, method, sys.intern(file), int(line), stripped)
+    file, digits = source.groups()
+    file, line = sys.intern(file), int(digits)
+    # The text is the rendered one unless the line is zero-padded ("B.java:01").
+    if digits[0] == "0" and digits != "0":
+        rendered = f"{location}({file}:{line})"
+    else:
+        rendered = stripped
+    return _prechecked_frame(class_fqn, method, file, line, stripped, location, rendered)
 
 
 def parse_failure_text(
@@ -234,7 +241,7 @@ def normalize(record: FailureRecord) -> NormalizedFailure:
     kept = survivors
     basis = TruncationBasis.NONE
     for i, frame in enumerate(survivors):
-        if f"{frame.class_fqn}.{frame.method}".startswith(full):
+        if frame.location.startswith(full):
             kept = survivors[: i + 1]
             basis = TruncationBasis.TEST_METHOD_FRAME
             break
@@ -358,7 +365,7 @@ class _CorpusReader:
         self.corpus = Corpus()
         # Frames and tests recur across failures; equal ones share one object.
         self.frames: dict[str, StackFrame] = {}
-        self.locations: dict[str, tuple[str, str]] = {}
+        self.locations: dict[str, tuple[str, str, str]] = {}
         self.tests: dict[tuple[str, str], TestId] = {}
         self.error: SchemaError | None = None
         if root.tag != "Corpus":
@@ -450,7 +457,7 @@ def _read_failure(
     elem: ET.Element,
     enclosing_project: str | None,
     parsed_frames: dict[str, StackFrame],
-    locations: dict[str, tuple[str, str]],
+    locations: dict[str, tuple[str, str, str]],
     parsed_tests: dict[tuple[str, str], TestId],
 ) -> FailureRecord:
     label_attr = elem.get("label", "flaky")

@@ -111,25 +111,33 @@ def signature(
     EXCEPTION_ONLY mode there are no frame keys. Pass a :class:`KnownTests`
     to reuse its name lookup across calls.
     """
-    if mode is MatchMode.EXCEPTION_ONLY:
-        keys: tuple[str, ...] = ()
-    else:
-        frames = nf.kept_frames
-        if scope is MatchScope.CROSS_TEST:
-            known = (
-                known_tests
-                if isinstance(known_tests, KnownTests)
-                else KnownTests(known_tests)
-            )
-            own_class = nf.base.test.class_fqn
-            frames = tuple(
-                f
-                for f in frames
-                if f.class_fqn != own_class
-                and not known.prefixes(f"{f.class_fqn}.{f.method}")
-            )
-        keys = tuple(f.render() for f in frames)
+    known = None
+    if scope is MatchScope.CROSS_TEST and mode is MatchMode.FULL:
+        known = (
+            known_tests
+            if isinstance(known_tests, KnownTests)
+            else KnownTests(known_tests)
+        )
+    keys = _frame_keys(nf, mode, known)
     return FailureSignature(nf.base.exception_type, keys, mode, scope)
+
+
+def _frame_keys(
+    nf: NormalizedFailure, mode: MatchMode, known: KnownTests | None
+) -> tuple[str, ...]:
+    """The frame keys of :func:`signature`: cross-test ones when ``known``
+    is given, per-test ones otherwise."""
+    if mode is MatchMode.EXCEPTION_ONLY:
+        return ()
+    if known is None:
+        return tuple([f.rendered for f in nf.kept_frames])
+    own_class = nf.base.test.class_fqn
+    prefixes = known.prefixes
+    return tuple([
+        f.rendered
+        for f in nf.kept_frames
+        if f.class_fqn != own_class and not prefixes(f.location)
+    ])
 
 
 def matches(a: FailureSignature, b: FailureSignature) -> bool:
@@ -211,15 +219,16 @@ class ProjectIndex:
 
     Holds the failures, their records and the records' tests as the known
     tests, and groups the records by match key per mode and scope on first
-    use. A record's key is ``(test, signature)`` under PER_TEST and the
-    signature alone under CROSS_TEST, where the known tests' frames are
-    dropped.
+    use. A record's key is the plain tuple ``(test, exception_type,
+    frame_keys)`` under PER_TEST and ``(exception_type, frame_keys)`` under
+    CROSS_TEST, where the known tests' frames are dropped; ``frame_keys`` are
+    those of :func:`signature`.
     """
 
     def __init__(self, normalized: Iterable[NormalizedFailure]) -> None:
         self.normalized = tuple(normalized)
         self.records = tuple(nf.base for nf in self.normalized)
-        self._groups: dict[tuple[MatchMode, MatchScope], dict[object, list[int]]] = {}
+        self._groups: dict[tuple[MatchMode, MatchScope], dict[tuple, list[int]]] = {}
 
     @cached_property
     def known(self) -> KnownTests:
@@ -236,17 +245,18 @@ class ProjectIndex:
             seen[r.test, r.label] += 1
         return tuple(ids)
 
-    def key(self, nf: NormalizedFailure, mode: MatchMode, scope: MatchScope) -> object:
+    def key(self, nf: NormalizedFailure, mode: MatchMode, scope: MatchScope) -> tuple:
         """Match key of any normalized failure against these known tests."""
+        record = nf.base
         if scope is MatchScope.PER_TEST:
-            return (nf.base.test, signature(nf, mode, scope))
-        return signature(nf, mode, scope, self.known)
+            return (record.test, record.exception_type, _frame_keys(nf, mode, None))
+        return (record.exception_type, _frame_keys(nf, mode, self.known))
 
-    def keys(self, mode: MatchMode, scope: MatchScope) -> list[object]:
+    def keys(self, mode: MatchMode, scope: MatchScope) -> list[tuple]:
         """Match key of every record, in record order."""
         return [self.key(nf, mode, scope) for nf in self.normalized]
 
-    def groups(self, mode: MatchMode, scope: MatchScope) -> dict[object, list[int]]:
+    def groups(self, mode: MatchMode, scope: MatchScope) -> dict[tuple, list[int]]:
         """Positions of the records sharing each match key, in record order."""
         groups = self._groups.get((mode, scope))
         if groups is None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
@@ -57,7 +57,10 @@ class KnownTests:
     """A set of tests, indexed to ask whether a text starts with a test's name.
 
     Full names are held in a set and probed once per distinct name length, so
-    a lookup costs a few set probes however many tests there are. Names are
+    a lookup costs a few set probes however many tests there are. The names
+    that start a text are remembered per text, so a text asked about again,
+    such as a frame that many failures share, costs one dict lookup; readers
+    in several threads may each scan a text, to equal names. Names are
     compared as text: tests of different projects that share a full name are
     one name here.
     """
@@ -67,18 +70,29 @@ class KnownTests:
         self.classes = frozenset(t.class_fqn for t in self.tests)
         self._name_counts = Counter(t.full_name() for t in self.tests)
         self._lengths = sorted({len(name) for name in self._name_counts})
+        self._starts: dict[str, tuple[str, ...]] = {}
 
     def prefixes(self, text: str, excluding: str | None = None) -> bool:
         """True iff some known full name other than ``excluding`` starts ``text``."""
+        starts = self._starts.get(text)
+        if starts is None:
+            starts = self._starts[text] = self._names_starting(text)
+        # The names are distinct, so one other than ``excluding`` is among
+        # them unless ``excluding`` is the only one.
+        return bool(starts) and (excluding is None or starts != (excluding,))
+
+    def _names_starting(self, text: str) -> tuple[str, ...]:
+        """The known full names that start ``text``, shortest first."""
         names = self._name_counts
         size = len(text)
+        found = []
         for length in self._lengths:
             if length > size:
                 break
             head = text[:length]
-            if head in names and head != excluding:
-                return True
-        return False
+            if head in names:
+                found.append(head)
+        return tuple(found)
 
     def name_to_exclude(self, test: TestId) -> str | None:
         """``test``'s full name, unless another known test has the same name.
@@ -98,6 +112,11 @@ class StackFrame:
     ``raw`` keeps the original text with any leading ``at `` and surrounding
     whitespace removed, so the frame can be re-rendered exactly. ``file`` and
     ``line`` are absent for ``(Native Method)`` / ``(Unknown Source)`` frames.
+
+    Two texts derived from the fields are stored with the frame, so that a
+    frame shared by many failures derives them once: ``location``, the
+    ``CLASS.METHOD`` text, and ``rendered``, the text :meth:`render` returns.
+    Equality, hashing and repr ignore both.
     """
 
     class_fqn: str
@@ -105,6 +124,8 @@ class StackFrame:
     file: str | None
     line: int | None
     raw: str
+    location: str = field(init=False, compare=False, repr=False)
+    rendered: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.class_fqn or _find_whitespace(self.class_fqn):
@@ -113,6 +134,12 @@ class StackFrame:
             raise ValueError(f"missing method name in frame {self.raw!r}")
         if self.line is not None and self.line < 0:
             raise ValueError(f"negative line number in frame {self.raw!r}")
+        location = f"{self.class_fqn}.{self.method}"
+        _set_location(self, location)
+        if self.file is not None and self.line is not None:
+            _set_rendered(self, f"{location}({self.file}:{self.line})")
+        else:
+            _set_rendered(self, self.raw)
 
     @classmethod
     def from_parts(
@@ -136,9 +163,7 @@ class StackFrame:
         It differs from ``raw`` where the text was not canonical, e.g. a
         zero-padded line (``B.java:01`` renders as ``B.java:1``).
         """
-        if self.file is not None and self.line is not None:
-            return f"{self.class_fqn}.{self.method}({self.file}:{self.line})"
-        return self.raw
+        return self.rendered
 
 
 _new_object = object.__new__
@@ -147,17 +172,28 @@ _set_method = StackFrame.method.__set__
 _set_file = StackFrame.file.__set__
 _set_line = StackFrame.line.__set__
 _set_raw = StackFrame.raw.__set__
+_set_location = StackFrame.location.__set__
+_set_rendered = StackFrame.rendered.__set__
 
 
 def _prechecked_frame(
-    class_fqn: str, method: str, file: str | None, line: int | None, raw: str
+    class_fqn: str,
+    method: str,
+    file: str | None,
+    line: int | None,
+    raw: str,
+    location: str,
+    rendered: str,
 ) -> StackFrame:
-    """A StackFrame built without ``__post_init__``'s checks.
+    """A StackFrame built without ``__post_init__``'s checks and derivations.
 
-    Only for a caller whose grammar already guarantees them: a non-empty
-    class without whitespace, a non-empty method, and no line or a
-    non-negative one. It sets the slots directly, so it costs about half of
-    ``StackFrame(...)``; the result equals what ``StackFrame(...)`` builds.
+    Only for a caller whose grammar already guarantees the checks (a
+    non-empty class without whitespace, a non-empty method, and no line or a
+    non-negative one) and that passes the derived texts ``__post_init__``
+    would set: ``location`` is ``CLASS.METHOD`` and ``rendered`` what
+    :meth:`StackFrame.render` returns. It sets the slots directly, so it
+    costs about half of ``StackFrame(...)``; the result equals what
+    ``StackFrame(...)`` builds.
     """
     frame = _new_object(StackFrame)
     _set_class_fqn(frame, class_fqn)
@@ -165,6 +201,8 @@ def _prechecked_frame(
     _set_file(frame, file)
     _set_line(frame, line)
     _set_raw(frame, raw)
+    _set_location(frame, location)
+    _set_rendered(frame, rendered)
     return frame
 
 

@@ -271,6 +271,8 @@ class TfidfIndex:
             term: _Postings(idfs[self.frequencies[term]][0], documents, shares, max(shares))
             for term, (documents, shares) in columns.items()
         }
+        # The idf of a term the query alone holds: log((n + 1) / 1).
+        self.unseen_idf = _log(self.size + 1, log_base)
 
     def _similarity(self, position: int, query: WeightedVector) -> float:
         """The :func:`cosine` of the document's vector with the query's."""
@@ -345,11 +347,24 @@ class TfidfIndex:
         return sorted(((dots[position] * widen, position) for position in alive
                        if dots[position] * widen >= threshold), reverse=True)
 
+    def _query_weights(self, document: TokenDocument) -> WeightedVector:
+        """The query's :func:`_weights` vector in the corpus it joins: a
+        term's idf is its plus-one idf, which its postings hold, or for a
+        term of no history document ``log(n + 1)``; the same floats."""
+        if not document.tokens:
+            raise EmptyDocument(f"document {document.failure_id!r} has no tokens")
+        postings, unseen = self.postings, self.unseen_idf
+        total = len(document.tokens)
+        weights: WeightedVector = {}
+        for term, count in Counter(document.tokens).items():
+            known = postings.get(term)
+            weights[term] = (count / total) * (unseen if known is None else known.idf)
+        return weights
+
     def classify(self, query: FailureRecord) -> TriageVerdict:
         """The verdict :func:`classify_nn` gives ``query`` against this history."""
         document = tokenize(query, "query")
-        frequencies = {term: self.frequencies[term] + 1 for term in document.tokens}
-        weights = _weights(document, frequencies, self.size + 1, self.log_base)
+        weights = self._query_weights(document)
         if all(weight == 0.0 for weight in weights.values()):
             return TriageVerdict.of(0, 0)
         if self.empty_id is not None:

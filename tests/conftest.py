@@ -114,6 +114,14 @@ def frame(class_fqn: str, method: str, file: str | None = None, line: int | None
     return StackFrame.from_parts(class_fqn, method, file, line)
 
 
+def render_from_fields(f: StackFrame) -> str:
+    """A frame's canonical text, computed here from its fields: the oracle
+    of the text the frame stores and ``render()`` returns."""
+    if f.file is not None and f.line is not None:
+        return f"{f.class_fqn}.{f.method}({f.file}:{f.line})"
+    return f.raw
+
+
 def record(
     test: TestId,
     exception: str = "AssertionError",

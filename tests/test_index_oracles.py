@@ -3,9 +3,10 @@
 Feature extraction, the cross-test frame filter and triage each once
 recomputed everything per record: a sorted scan over every known test name,
 a walk over the whole project, a normalization of every record of the
-query's test. The tree and Bayes fits walked every sample. The oracles below
-are those implementations, kept verbatim; the indexed paths must agree with
-them exactly.
+query's test. The tree and Bayes fits walked every sample, and the match
+scores and exception table counted every record under its own basis. The
+oracles below are those implementations, kept verbatim, with frames rendered
+from their fields; the indexed paths must agree with them exactly.
 """
 from __future__ import annotations
 
@@ -13,10 +14,11 @@ import dataclasses
 import itertools
 import math
 import random
+from collections import Counter, defaultdict
 
 import pytest
 
-from conftest import frame, random_corpus, record
+from conftest import frame, random_corpus, record, render_from_fields
 from flaketriage import classifier, cli, evaluation, ingest, tfidf
 from flaketriage.classifier import (
     FeatureVector,
@@ -65,7 +67,7 @@ def oracle_features(nf, known_tests, cut_prefixes=None):
     other_names = sorted(t.full_name() for t in known if t != test)
     test_classes = {t.class_fqn for t in known} | {test.class_fqn}
 
-    lines = [f.render() for f in nf.kept_frames]
+    lines = [render_from_fields(f) for f in nf.kept_frames]
     return FeatureVector(
         exception_type=nf.base.exception_type,
         test_name_in_trace=any(line.startswith(full_name) for line in lines),
@@ -98,7 +100,7 @@ def oracle_cross_test_signature(nf, known_tests):
             f"{f.class_fqn}.{f.method}".startswith(name) for name in test_names
         )
     )
-    keys = tuple(f.render() for f in frames)
+    keys = tuple(render_from_fields(f) for f in frames)
     return FailureSignature(
         nf.base.exception_type, keys, MatchMode.FULL, MatchScope.CROSS_TEST
     )
@@ -210,7 +212,8 @@ def test_features_and_cross_test_signatures_match_the_oracles(seed):
         index = ProjectIndex(map(normalize, corpus.records(project)))
         nfs = index.normalized
         for nf, cross_key in zip(nfs, index.keys(MatchMode.FULL, MatchScope.CROSS_TEST)):
-            assert cross_key == oracle_cross_test_signature(nf, corpus.tests(project))
+            want = oracle_cross_test_signature(nf, corpus.tests(project))
+            assert cross_key == (want.exception_type, want.frame_keys)
         framework_nfs = [normalize(r) for r in framework.records(project)]
         for known in known_variants(corpus, project):
             for nf in nfs:
@@ -302,6 +305,137 @@ def test_test_names_that_prefix_one_another():
         assert signature(nf, MatchMode.FULL, MatchScope.CROSS_TEST, known).frame_keys == (
             "a.Lib.go(Lib.java:2)",
         )
+
+
+# --- match keys and the reports summed over their groups ----------------------
+
+
+def with_padded_lines(corpus: Corpus) -> Corpus:
+    """The corpus with the line numbers of every other record's frames
+    zero-padded in their text (``B.java:07``).
+
+    A padded frame and its plain twin are different frames with the same
+    rendered text, so their records share every match key.
+    """
+    padded = Corpus()
+    for i, r in enumerate(corpus.records()):
+        if i % 2:
+            r = dataclasses.replace(r, frames=tuple(
+                dataclasses.replace(f, raw=f"{f.class_fqn}.{f.method}({f.file}:0{f.line})")
+                if f.line is not None else f
+                for f in r.frames
+            ))
+        padded.add(r)
+    return padded
+
+
+def seeded_corpora(seed: int):
+    """A random corpus as built, with padded lines, and both read back from XML."""
+    corpus = random_corpus(seed, max_records=120)
+    for built in (corpus, with_padded_lines(corpus)):
+        yield built
+        yield read_corpus_xml(write_corpus_xml(built))
+
+
+def signature_key(index: ProjectIndex, nf, mode, scope):
+    """A record's match key as the index built it from :func:`signature`."""
+    if scope is MatchScope.PER_TEST:
+        return (nf.base.test, signature(nf, mode, scope))
+    return signature(nf, mode, scope, index.known)
+
+
+def oracle_key(nf, known_tests, mode, scope):
+    if mode is MatchMode.EXCEPTION_ONLY:
+        frame_keys = ()
+    elif scope is MatchScope.CROSS_TEST:
+        frame_keys = oracle_cross_test_signature(nf, known_tests).frame_keys
+    else:
+        frame_keys = tuple(render_from_fields(f) for f in nf.kept_frames)
+    if scope is MatchScope.PER_TEST:
+        return (nf.base.test, nf.base.exception_type, frame_keys)
+    return (nf.base.exception_type, frame_keys)
+
+
+def partition(keys) -> list[list[int]]:
+    groups: dict[object, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("seed", range(0, 50, 5))
+def test_groups_partition_the_records_as_the_signature_keys_did(seed):
+    shared = 0
+    for corpus in seeded_corpora(seed):
+        for project in corpus.project_names():
+            index = ProjectIndex(map(normalize, corpus.records(project)))
+            nfs = index.normalized
+            for mode, scope in itertools.product(MatchMode, MatchScope):
+                assert index.keys(mode, scope) == [
+                    oracle_key(nf, corpus.tests(project), mode, scope) for nf in nfs
+                ]
+                groups = list(index.groups(mode, scope).values())
+                assert groups == partition(signature_key(index, nf, mode, scope) for nf in nfs)
+                shared += sum(len(g) > 1 for g in groups)
+    assert shared
+
+
+def oracle_score_project(corpus, project, mode, scope):
+    index = matching.project_index(corpus, project)
+    per_test: dict[TestId, Counter[tuple[Label, TriageBasis]]] = defaultdict(Counter)
+    for record, basis in zip(index.records, index.bases(mode, scope)):
+        per_test[record.test][record.label, basis] += 1
+    matrices = [evaluation._confusion(counts) for counts in per_test.values()]
+    return evaluation.ScoreResult(
+        sum(matrices, evaluation.ConfusionMatrix()),
+        sum(m.tp > 0 for m in matrices),
+        sum(m.fn > 0 for m in matrices),
+    )
+
+
+def oracle_exception_frequency(corpus, mode):
+    projects: dict[str, set[str]] = {}
+    tests: dict[str, set[TestId]] = {}
+    counters: dict[str, Counter[tuple[Label, TriageBasis]]] = {}
+    for project in corpus.project_names():
+        index = matching.project_index(corpus, project)
+        bases = index.bases(mode, MatchScope.PER_TEST)
+        for record, basis in zip(index.records, bases):
+            exception_type = record.exception_type
+            projects.setdefault(exception_type, set()).add(project)
+            tests.setdefault(exception_type, set()).add(record.test)
+            counter = counters.setdefault(exception_type, Counter())
+            counter[record.label, basis] += 1
+    rows = []
+    for name, counter in counters.items():
+        cm = evaluation._confusion(counter)
+        flaky, true = cm.tp + cm.fn, cm.fp + cm.tn
+        rows.append(evaluation.ExceptionRow(
+            name, len(projects[name]), len(tests[name]), flaky + true, true, flaky,
+            cm.tp, cm.fn, cm.fp, cm.tn,
+        ))
+    rows.sort(key=lambda row: (-row.failures, row.exception))
+    return rows
+
+
+def test_group_sums_equal_the_per_record_reports():
+    outcomes = set()
+    for seed in range(0, 50, 5):
+        for corpus in seeded_corpora(seed):
+            for mode in MatchMode:
+                assert evaluation.exception_frequency(corpus, mode) == (
+                    oracle_exception_frequency(corpus, mode)
+                )
+                for scope, project in itertools.product(MatchScope, corpus.project_names()):
+                    assert evaluation.score_project(corpus, project, mode, scope) == (
+                        oracle_score_project(corpus, project, mode, scope)
+                    )
+                    index = matching.project_index(corpus, project)
+                    outcomes.update(
+                        (r.label, basis) for r, basis in zip(index.records, index.bases(mode, scope))
+                    )
+    # Records of both labels under every basis.
+    assert outcomes == set(itertools.product(Label, TriageBasis))
 
 
 # --- consumers of the index ---------------------------------------------------

@@ -3,22 +3,25 @@
 ``project_index`` builds a project's index on first use and keeps it on the
 corpus until the next ``Corpus.add``; scoring, statistics and cross-test
 triage all read it. These tests count the builds, check that an add is seen,
-and check the stranger-test path of cross-test triage against the
-whole-project walk it replaced.
+check the stranger-test path of cross-test triage against the
+whole-project walk it replaced, and count the per-frame work of the keys.
 """
 from __future__ import annotations
 
 import dataclasses
 import itertools
+from collections import Counter
 
 from conftest import frame, random_corpus, record
-from test_index_oracles import oracle_triage
+from test_index_oracles import oracle_triage, with_padded_lines
+from flaketriage import ingest
+from flaketriage.classifier import FeatureContext, default_cut_prefixes
 from flaketriage.evaluation import (
     distinct_signature_counts,
     exception_frequency,
     score_matching,
 )
-from flaketriage.ingest import normalize
+from flaketriage.ingest import normalize, read_corpus_xml, write_corpus_xml
 from flaketriage.matching import (
     MatchMode,
     MatchScope,
@@ -28,7 +31,7 @@ from flaketriage.matching import (
     repetitiveness,
     triage,
 )
-from flaketriage.model import Corpus, Label, TestId
+from flaketriage.model import Corpus, KnownTests, Label, StackFrame, TestId
 
 
 def copy_of(corpus: Corpus) -> Corpus:
@@ -134,3 +137,48 @@ def test_query_of_an_unknown_project_builds_no_index(monkeypatch):
             assert got == oracle_triage(query, corpus, mode, MatchScope.CROSS_TEST)
             assert got.basis is TriageBasis.MATCHED_NONE
     assert builds == []
+
+
+def test_keys_and_features_derive_each_frame_text_once(monkeypatch):
+    # After a read, a frame's texts are stored on it: the reader renders only
+    # a zero-padded line anew, and keying and feature extraction render
+    # nothing. Each known-tests set scans the name lengths for a text once.
+    document = write_corpus_xml(with_padded_lines(random_corpus(3, max_records=250)))
+    built = []
+    prechecked = ingest._prechecked_frame
+
+    def recorded(*args):
+        built.append(prechecked(*args))
+        return built[-1]
+
+    monkeypatch.setattr(ingest, "_prechecked_frame", recorded)
+    corpus = read_corpus_xml(document)
+    rendered_anew = [f for f in built if f.rendered is not f.raw]
+    assert rendered_anew and len(rendered_anew) < len(built)
+    assert all(f.raw != f.rendered == f"{f.location}({f.file}:{f.line})" for f in rendered_anew)
+
+    renders = []
+    monkeypatch.setattr(StackFrame, "render", lambda f: renders.append(f))
+    monkeypatch.setattr(StackFrame, "__post_init__", lambda f: renders.append(f))
+    scans: Counter[tuple[int, str]] = Counter()
+    scanners = []  # kept alive, so that their ids stay distinct
+    names_starting = KnownTests._names_starting
+
+    def counted(self, text):
+        scanners.append(self)
+        scans[id(self), text] += 1
+        return names_starting(self, text)
+
+    monkeypatch.setattr(KnownTests, "_names_starting", counted)
+    occurrences = 0
+    for project in corpus.project_names():
+        index = project_index(corpus, project)
+        for mode, scope in itertools.product(MatchMode, MatchScope):
+            index.groups(mode, scope)
+        context = FeatureContext(index.known, default_cut_prefixes(index.known.tests))
+        for nf in index.normalized:
+            context.features(nf)
+            occurrences += len(nf.kept_frames)
+    assert renders == []
+    assert scans and max(scans.values()) == 1
+    assert sum(scans.values()) < occurrences

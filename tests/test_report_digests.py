@@ -4,10 +4,14 @@ The benchmark's committed digests cover corpus-stats and evaluate with
 match, cross-test match, tree and bayes at their defaults; these digests pin
 the reports it does not run: oversampled cross-validation, tf-idf
 cross-validation, and a classify verdict of each method, exact matching in
-both scopes included. On these two query logs, matching in either scope
-prints the same verdict and evidence as the nearest-neighbour method, so
-those digests coincide; each still pins its own command. The corpus is small and generated, and its
-true failures are under 10% of its flaky ones in every training fold, so
+both scopes included. On the last flaky and the last true failure of the
+query test, matching in either scope prints the same verdict and evidence
+as the nearest-neighbour method, so those digests coincide; each still pins
+its own command. A third query log holds another test's failure under the
+query test's name: per-test matching finds nothing, cross-test matching
+finds that test's records and nearest neighbour the closest of them, so its
+three digests differ. The corpus is small and generated, and its true
+failures are under 10% of its flaky ones in every training fold, so
 ``--oversample`` adds copies.
 """
 import hashlib
@@ -39,7 +43,7 @@ GENERATOR_CONFIG = {
     "volatile_message_tokens": True,
     "frame_depth": [3, 8],
 }
-# The test of both query logs: the last flaky and the last true record of
+# The test of every query log: the last flaky and the last true record of
 # proj00 belong to it.
 QUERY_TEST = "org.proj00.Suite2Test.scenario2"
 
@@ -94,6 +98,18 @@ REPORTS = {
         ["--method", "match", "--scope", "cross-test", "--failure", "true.log"],
         "ba644027eed977e372c3c64823f0ef7ff6b43a2a996005f05d66c2f11b9342a1",
     ),
+    "classify-match-other": (
+        ["--method", "match", "--failure", "other.log"],
+        "ce61f3b6314b7bd6bcc7f8b759a2adc0c125aca0185b9af57cadbd5a6565c0dd",
+    ),
+    "classify-match-cross-test-other": (
+        ["--method", "match", "--scope", "cross-test", "--failure", "other.log"],
+        "a639aea77ebbea48a0e15f6c8baa675e3e825476f0432f9f567aad175b7b0f15",
+    ),
+    "classify-tfidf-other": (
+        ["--method", "tfidf", "--failure", "other.log"],
+        "d386e7257df2b10f370d0c901f5e795593c4467d79b887afbff162ce6cf37217",
+    ),
     "classify-tfidf-flaky": (
         ["--method", "tfidf", "--failure", "flaky.log"],
         "41b1a4e6af322c2b01171eed51d51e6acef681ca0b74c8b26e7a9283f49ebf95",
@@ -105,9 +121,16 @@ REPORTS = {
 }
 
 
+def write_log(path, record) -> None:
+    lines = [f"{record.exception_type}: {record.message}"]
+    lines += [f"\tat {frame.render()}" for frame in record.frames]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def write_inputs(path) -> None:
     """Write the corpus, and as raw logs the last flaky and the last true
-    failure of its first project."""
+    failure of its first project, and its first failure, which belongs to
+    another test."""
     (path / "gen.json").write_text(json.dumps(GENERATOR_CONFIG))
     assert main(["generate", "--config", str(path / "gen.json"),
                  "--out", str(path / "corpus.xml")]) == 0
@@ -115,9 +138,10 @@ def write_inputs(path) -> None:
     for label in (Label.FLAKY, Label.TRUE):
         record = list(corpus.records("proj00", label))[-1]
         assert record.test.full_name() == QUERY_TEST
-        lines = [f"{record.exception_type}: {record.message}"]
-        lines += [f"\tat {frame.render()}" for frame in record.frames]
-        (path / f"{label.value}.log").write_text("\n".join(lines) + "\n")
+        write_log(path / f"{label.value}.log", record)
+    record = next(corpus.records("proj00"))
+    assert record.test.full_name() != QUERY_TEST
+    write_log(path / "other.log", record)
 
 
 @pytest.fixture(scope="module")

@@ -545,6 +545,21 @@ def query_weights(index: TfidfIndex, query: FailureRecord, log_base) -> dict:
     return _weights(doc, frequencies, index.size + 1, log_base)
 
 
+@pytest.mark.parametrize("log_base", [None, 2, 0.5])
+@pytest.mark.parametrize("seed", range(0, 100, 10))
+def test_query_weights_from_the_postings_are_the_reference_weights(seed, log_base):
+    # Each known term's idf comes from its postings and a query-only term's
+    # from the index: the very floats _weights computes, in the same order.
+    corpus = random_corpus(seed, max_records=120)
+    unseen = 0
+    for query in queries_for(corpus, random.Random(seed)):
+        index = TfidfIndex(corpus.identified_records(query.test.project), log_base)
+        got = index._query_weights(tokenize(query, "query"))
+        assert list(got.items()) == list(query_weights(index, query, log_base).items())
+        unseen += any(t not in index.postings for t in got)
+    assert unseen
+
+
 def squared_norm(index: TfidfIndex, tokens: tuple[str, ...], held, log_base) -> float:
     """A document's squared norm, its terms in ``held`` at their plus-one idf."""
     n = index.size
