@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import evaluation
-from .errors import FlakeTriageError, InsufficientFlaky, InsufficientTrue
+from .errors import FlakeTriageError
 from .ingest import (
     normalize,
     parse_failure_file,
@@ -253,11 +253,12 @@ def _cmd_evaluate(args) -> int:
         stems = _report_stems(projects)
         report_dir.mkdir(parents=True, exist_ok=True)
 
-    sections: list[str] = []
+    # Each evaluated project's result, and the projects skipped with why.
+    results: dict = {}
+    skipped: dict[str, str] = {}
     if args.method == "match":
         mode = _MODES[args.mode]
         scope = _SCOPES[args.scope]
-        results = {}
         for project in projects:
             score = evaluation.score_project(corpus, project, mode, scope)
             tests, flaky, true = _project_counts(corpus, project)
@@ -265,19 +266,12 @@ def _cmd_evaluate(args) -> int:
                 corpus, project
             )
             results[project] = (score, tests, true, flaky, set_true, set_flaky)
-        sections.append(f"== text matching (mode={mode}, scope={scope}) ==")
-        sections.append(evaluation.render_matching_table(results))
-        if report_dir is not None:
-            for project, (score, *_rest) in results.items():
-                _write_report(
-                    report_dir,
-                    stems[project],
-                    evaluation.render_matching_table({project: results[project]}),
-                    [evaluation.matching_record_json(project, score)],
-                )
+        heading = f"== text matching (mode={mode}, scope={scope}) =="
+        table = evaluation.render_matching_table
+
+        def records(name: str, result: tuple) -> list[str]:
+            return [evaluation.matching_record_json(name, result[0])]
     else:
-        per_project = {}
-        skipped = {}
         for project in projects:
             flaky, true = evaluation.labeled_failures(corpus, project)
             if len(flaky) < evaluation.MIN_FLAKY_FOR_CV:
@@ -286,34 +280,31 @@ def _cmd_evaluate(args) -> int:
                     f"({len(flaky)})"
                 )
                 continue
-            trainer = _make_trainer(args)
-            try:
-                per_project[project] = evaluation.cross_validate_project(
-                    flaky, true, args.k, trainer, args.seed
-                )
-            except (InsufficientFlaky, InsufficientTrue) as exc:
-                raise type(exc)(f"project {project!r}: {exc}") from None
-        result = evaluation.CorpusCvResult(per_project, skipped)
+            results[project] = evaluation.cross_validate_project(
+                flaky, true, args.k, _make_trainer(args), args.seed
+            )
         balancing = "on" if args.oversample else "off"
-        sections.append(
+        heading = (
             f"== cross-validation (method={args.method}, k={args.k}, "
             f"seed={args.seed}, oversample={balancing}) =="
         )
-        counts = {name: _project_counts(corpus, name) for name in per_project}
-        sections.append(evaluation.render_cv_table(result, counts))
-        for name in sorted(skipped):
-            sections.append(f"skipped {name}: {skipped[name]}")
-        if report_dir is not None:
-            for name, cv in per_project.items():
-                _write_report(
-                    report_dir,
-                    stems[name],
-                    evaluation.render_cv_table(
-                        evaluation.CorpusCvResult({name: cv}, {}),
-                        {name: counts[name]},
-                    ),
-                    evaluation.cv_record_json(name, cv),
-                )
+        counts = {name: _project_counts(corpus, name) for name in results}
+
+        def table(per_project: dict) -> str:
+            result = evaluation.CorpusCvResult(per_project, {})
+            return evaluation.render_cv_table(result, counts)
+
+        records = evaluation.cv_record_json
+
+    sections = [heading, table(results)]
+    sections.extend(f"skipped {name}: {skipped[name]}" for name in sorted(skipped))
+    if report_dir is not None:
+        for name, result in results.items():
+            for suffix, lines in (
+                ("txt", [table({name: result})]), ("jsonl", records(name, result))
+            ):
+                path = report_dir / f"{stems[name]}.{suffix}"
+                path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     for table_mode, title in (
         (MatchMode.FULL, "exceptions (full matching)"),
@@ -353,15 +344,6 @@ def _report_stems(projects: list[str]) -> dict[str, str]:
             )
         owners[stem] = project
     return stems
-
-
-def _write_report(
-    report_dir: Path, stem: str, table: str, json_lines: list[str]
-) -> None:
-    (report_dir / f"{stem}.txt").write_text(table + "\n", encoding="utf-8")
-    (report_dir / f"{stem}.jsonl").write_text(
-        "\n".join(json_lines) + "\n", encoding="utf-8"
-    )
 
 
 def _cmd_generate(args) -> int:

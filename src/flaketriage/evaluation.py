@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Callable, Iterator, Sequence
 
 from .classifier import (
@@ -31,7 +31,6 @@ from .matching import (
     MatchMode,
     MatchScope,
     ProjectIndex,
-    ProjectRepetitiveness,
     RepetitivenessReport,
     TriageBasis,
     project_index,
@@ -226,11 +225,10 @@ def exception_frequency(corpus: Corpus, mode: MatchMode) -> list[ExceptionRow]:
             counter[label, basis] += n
     rows = []
     for name, counter in counters.items():
-        cm = _confusion(counter)
-        flaky, true = cm.tp + cm.fn, cm.fp + cm.tn
+        cells = astuple(_confusion(counter))
+        flaky, true = sum(cells[:2]), sum(cells[2:])  # tp + fn, fp + tn
         rows.append(ExceptionRow(
-            name, len(projects[name]), len(tests[name]), flaky + true, true, flaky,
-            cm.tp, cm.fn, cm.fp, cm.tn,
+            name, len(projects[name]), len(tests[name]), flaky + true, true, flaky, *cells
         ))
     rows.sort(key=lambda row: (-row.failures, row.exception))
     return rows
@@ -248,10 +246,7 @@ class CvResult:
 
     @property
     def total(self) -> ConfusionMatrix:
-        out = ConfusionMatrix()
-        for fold in self.folds:
-            out = out + fold
-        return out
+        return sum(self.folds, ConfusionMatrix())
 
     @property
     def metrics(self) -> MetricSet:
@@ -265,16 +260,20 @@ def cross_validate_project(
     trainer: Trainer,
     seed: int = 0,
 ) -> CvResult:
-    """Seeded stratified k-fold evaluation of one project.
+    """Seeded stratified k-fold evaluation of one project's flaky and true
+    failures.
 
     Each label class is shuffled once and dealt round-robin to the k folds,
     so fold sizes within a class differ by at most one and every fold holds
-    at least one flaky failure whenever there are at least k of them.
+    at least one flaky failure whenever there are at least k of them. A class
+    of fewer than k failures is an error that names the failures' project.
     """
+    first = [*flaky[:1], *true[:1]]
+    where = f"project {first[0].base.test.project!r}: " if first else ""
     if len(flaky) < k:
-        raise InsufficientFlaky(f"{len(flaky)} flaky failures but k={k}")
+        raise InsufficientFlaky(f"{where}{len(flaky)} flaky failures but k={k}")
     if len(true) < k:
-        raise InsufficientTrue(f"{len(true)} true failures but k={k}")
+        raise InsufficientTrue(f"{where}{len(true)} true failures but k={k}")
     rng = random.Random(seed)
     shuffled_flaky = list(flaky)
     shuffled_true = list(true)
@@ -293,23 +292,14 @@ def cross_validate_project(
             for nf in flaky_folds[i] + true_folds[i]
         ]
         predictor = trainer(training)
-        tp = fn = fp = tn = 0
-        for nf in flaky_folds[held_out] + true_folds[held_out]:
-            predicted = predictor(nf)
-            if nf.base.label is Label.FLAKY:
-                if predicted is Label.FLAKY:
-                    tp += 1
-                else:
-                    fn += 1
-            else:
-                if predicted is Label.FLAKY:
-                    fp += 1
-                else:
-                    tn += 1
-        fold_matrices.append(ConfusionMatrix(tp, fn, fp, tn))
-        fold_sizes.append(
-            (len(flaky_folds[held_out]), len(true_folds[held_out]))
-        )
+        held_flaky, held_true = flaky_folds[held_out], true_folds[held_out]
+        flaky_flagged = sum(predictor(nf) is Label.FLAKY for nf in held_flaky)
+        true_flagged = sum(predictor(nf) is Label.FLAKY for nf in held_true)
+        fold_matrices.append(ConfusionMatrix(
+            flaky_flagged, len(held_flaky) - flaky_flagged,
+            true_flagged, len(held_true) - true_flagged,
+        ))
+        fold_sizes.append((len(held_flaky), len(held_true)))
     return CvResult(tuple(fold_matrices), tuple(fold_sizes))
 
 
@@ -320,10 +310,8 @@ class CorpusCvResult:
 
     @property
     def aggregate(self) -> ConfusionMatrix:
-        out = ConfusionMatrix()
-        for result in self.per_project.values():
-            out = out + result.total
-        return out
+        totals = (result.total for result in self.per_project.values())
+        return sum(totals, ConfusionMatrix())
 
     @property
     def aggregate_metrics(self) -> MetricSet:
@@ -359,12 +347,7 @@ def stratified_cv(
                 f"fewer than {MIN_FLAKY_FOR_CV} flaky failures ({len(flaky)})"
             )
             continue
-        try:
-            per_project[project] = cross_validate_project(
-                flaky, true, k, trainer, seed
-            )
-        except (InsufficientFlaky, InsufficientTrue) as exc:
-            raise type(exc)(f"project {project!r}: {exc}") from None
+        per_project[project] = cross_validate_project(flaky, true, k, trainer, seed)
     return CorpusCvResult(per_project, skipped)
 
 
@@ -469,19 +452,15 @@ def tfidf_trainer() -> Trainer:
 
 # --- report rendering ---------------------------------------------------------
 
+_CELLS = tuple(f.name for f in fields(ConfusionMatrix))
+_METRICS = tuple(f.name for f in fields(MetricSet))
 MATCHING_COLUMNS = (
     "project", "tests", "true", "flaky", "set_true", "set_flaky",
-    "tp", "fn", "fp", "tn",
-    "precision", "recall", "specificity", "f1", "tests_tp", "tests_fn",
+    *_CELLS, *_METRICS, "tests_tp", "tests_fn",
 )
-CV_COLUMNS = (
-    "project", "tests", "flaky", "true",
-    "tp", "fn", "fp", "tn",
-    "precision", "recall", "specificity", "f1",
-)
+CV_COLUMNS = ("project", "tests", "flaky", "true", *_CELLS, *_METRICS)
 EXCEPTION_COLUMNS = (
-    "exception", "projects", "tests", "failures", "true", "flaky",
-    "tp", "fn", "fp", "tn",
+    "exception", "projects", "tests", "failures", "true", "flaky", *_CELLS,
 )
 REPETITIVENESS_COLUMNS = (
     "project", "tests", "flaky", "set",
@@ -506,13 +485,26 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
-def _metric_cells(metric_set: MetricSet) -> list[str]:
-    return [
-        format_metric(metric_set.precision),
-        format_metric(metric_set.recall),
-        format_metric(metric_set.specificity),
-        format_metric(metric_set.f1),
-    ]
+def _report_table(
+    headers: Sequence[str],
+    per_project: dict[str, tuple[tuple[int, ...], ConfusionMatrix, tuple[int, ...]]],
+) -> str:
+    """Rows of projects in name order and, under any, a total row that sums
+    each column. A project's ``(counts, matrix, more_counts)`` fill its row:
+    the counts, the matrix's cells and metrics, then the more counts.
+    """
+    rows = [(project, *per_project[project]) for project in sorted(per_project)]
+    if rows:
+        _, counts, matrices, more_counts = zip(*rows)
+        rows.append((
+            "total", tuple(map(sum, zip(*counts))), sum(matrices, ConfusionMatrix()),
+            tuple(map(sum, zip(*more_counts))),
+        ))
+    return render_table(headers, [
+        [name, *map(str, counts + astuple(cm)),
+         *map(format_metric, astuple(metrics(cm))), *map(str, more_counts)]
+        for name, counts, cm, more_counts in rows
+    ])
 
 
 def render_matching_table(
@@ -523,34 +515,10 @@ def render_matching_table(
     Each project maps to (score, tests, true, flaky, set_true, set_flaky),
     where the set counts are distinct per-test full signatures per label.
     """
-    rows = []
-    total = ConfusionMatrix()
-    sums = Counter()
-    for project in sorted(per_project):
-        score, tests, n_true, n_flaky, set_true, set_flaky = per_project[project]
-        cm = score.matrix
-        total = total + cm
-        sums.update(
-            tests=tests, true=n_true, flaky=n_flaky,
-            set_true=set_true, set_flaky=set_flaky,
-            tests_tp=score.tests_with_tp, tests_fn=score.tests_with_fn,
-        )
-        rows.append(
-            [project, str(tests), str(n_true), str(n_flaky),
-             str(set_true), str(set_flaky),
-             str(cm.tp), str(cm.fn), str(cm.fp), str(cm.tn)]
-            + _metric_cells(metrics(cm))
-            + [str(score.tests_with_tp), str(score.tests_with_fn)]
-        )
-    if rows:
-        rows.append(
-            ["total", str(sums["tests"]), str(sums["true"]), str(sums["flaky"]),
-             str(sums["set_true"]), str(sums["set_flaky"]),
-             str(total.tp), str(total.fn), str(total.fp), str(total.tn)]
-            + _metric_cells(metrics(total))
-            + [str(sums["tests_tp"]), str(sums["tests_fn"])]
-        )
-    return render_table(MATCHING_COLUMNS, rows)
+    return _report_table(MATCHING_COLUMNS, {
+        project: (tuple(counts), score.matrix, (score.tests_with_tp, score.tests_with_fn))
+        for project, (score, *counts) in per_project.items()
+    })
 
 
 def render_cv_table(
@@ -560,72 +528,33 @@ def render_cv_table(
 
     ``test_counts`` maps project name to (tests, flaky, true).
     """
-    rows = []
-    sums = Counter()
-    for project in sorted(result.per_project):
-        cv = result.per_project[project]
-        tests, flaky, true = test_counts[project]
-        sums.update(tests=tests, flaky=flaky, true=true)
-        cm = cv.total
-        rows.append(
-            [project, str(tests), str(flaky), str(true),
-             str(cm.tp), str(cm.fn), str(cm.fp), str(cm.tn)]
-            + _metric_cells(cv.metrics)
-        )
-    if rows:
-        cm = result.aggregate
-        rows.append(
-            ["total", str(sums["tests"]), str(sums["flaky"]), str(sums["true"]),
-             str(cm.tp), str(cm.fn), str(cm.fp), str(cm.tn)]
-            + _metric_cells(result.aggregate_metrics)
-        )
-    return render_table(CV_COLUMNS, rows)
+    return _report_table(CV_COLUMNS, {
+        project: (tuple(test_counts[project]), cv.total, ())
+        for project, cv in result.per_project.items()
+    })
 
 
 def render_exceptions_table(rows: Sequence[ExceptionRow]) -> str:
     return render_table(
-        EXCEPTION_COLUMNS,
-        [
-            [row.exception, str(row.projects), str(row.tests), str(row.failures),
-             str(row.true), str(row.flaky),
-             str(row.tp), str(row.fn), str(row.fp), str(row.tn)]
-            for row in rows
-        ],
+        EXCEPTION_COLUMNS, [[row.exception, *map(str, astuple(row)[1:])] for row in rows]
     )
 
 
 def render_repetitiveness_table(report: RepetitivenessReport) -> str:
-    rows = []
-    for project in sorted(report.per_project):
-        stats = report.per_project[project]
-        rows.append([project] + _repetitiveness_cells(stats))
+    rows = sorted(report.per_project.items())
     if rows:
-        rows.append(["total"] + _repetitiveness_cells(report.total()))
-    return render_table(REPETITIVENESS_COLUMNS, rows)
-
-
-def _repetitiveness_cells(stats: ProjectRepetitiveness) -> list[str]:
-    return [
-        str(stats.tests), str(stats.flaky), str(stats.distinct),
-        str(stats.uniq_per_test), str(stats.repet_per_test),
-        str(stats.uniq_cross), str(stats.repet_cross),
-    ]
+        rows.append(("total", report.total()))
+    return render_table(
+        REPETITIVENESS_COLUMNS, [[name, *map(str, astuple(stats))] for name, stats in rows]
+    )
 
 
 def matching_record_json(project: str, score: ScoreResult) -> str:
     """One machine-readable line for a project's matching evaluation."""
-    cm = score.matrix
-    metric_set = metrics(cm)
     return json.dumps(
         {
-            "project": project,
-            "tp": cm.tp, "fn": cm.fn, "fp": cm.fp, "tn": cm.tn,
-            "precision": metric_set.precision,
-            "recall": metric_set.recall,
-            "specificity": metric_set.specificity,
-            "f1": metric_set.f1,
-            "tests_tp": score.tests_with_tp,
-            "tests_fn": score.tests_with_fn,
+            "project": project, **asdict(score.matrix), **asdict(metrics(score.matrix)),
+            "tests_tp": score.tests_with_tp, "tests_fn": score.tests_with_fn,
         },
         sort_keys=True,
     )
@@ -633,32 +562,14 @@ def matching_record_json(project: str, score: ScoreResult) -> str:
 
 def cv_record_json(project: str, result: CvResult) -> list[str]:
     """Machine-readable lines for a project: one per fold plus a total."""
-    lines = []
-    for fold, cm in enumerate(result.folds):
-        lines.append(
-            json.dumps(
-                {
-                    "project": project, "fold": fold,
-                    "held_out_flaky": result.fold_sizes[fold][0],
-                    "held_out_true": result.fold_sizes[fold][1],
-                    "tp": cm.tp, "fn": cm.fn, "fp": cm.fp, "tn": cm.tn,
-                },
-                sort_keys=True,
-            )
-        )
-    cm = result.total
-    metric_set = result.metrics
-    lines.append(
+    lines = [
         json.dumps(
-            {
-                "project": project, "fold": "total",
-                "tp": cm.tp, "fn": cm.fn, "fp": cm.fp, "tn": cm.tn,
-                "precision": metric_set.precision,
-                "recall": metric_set.recall,
-                "specificity": metric_set.specificity,
-                "f1": metric_set.f1,
-            },
+            {"project": project, "fold": fold, "held_out_flaky": flaky,
+             "held_out_true": true, **asdict(cm)},
             sort_keys=True,
         )
-    )
+        for fold, (cm, (flaky, true)) in enumerate(zip(result.folds, result.fold_sizes))
+    ]
+    total = {"project": project, "fold": "total", **asdict(result.total)}
+    lines.append(json.dumps({**total, **asdict(result.metrics)}, sort_keys=True))
     return lines

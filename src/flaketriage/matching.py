@@ -8,7 +8,7 @@ Matching is exact componentwise equality of signatures.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from typing import Iterable
@@ -330,16 +330,11 @@ class RepetitivenessReport:
     per_project: dict[str, ProjectRepetitiveness]
 
     def total(self) -> ProjectRepetitiveness:
-        rows = list(self.per_project.values())
-        return ProjectRepetitiveness(
-            tests=sum(r.tests for r in rows),
-            flaky=sum(r.flaky for r in rows),
-            distinct=sum(r.distinct for r in rows),
-            uniq_per_test=sum(r.uniq_per_test for r in rows),
-            repet_per_test=sum(r.repet_per_test for r in rows),
-            uniq_cross=sum(r.uniq_cross for r in rows),
-            repet_cross=sum(r.repet_cross for r in rows),
-        )
+        rows = self.per_project.values()
+        return ProjectRepetitiveness(*(
+            sum(getattr(row, column.name) for row in rows)
+            for column in fields(ProjectRepetitiveness)
+        ))
 
 
 def repetitiveness(corpus: Corpus) -> RepetitivenessReport:

@@ -631,17 +631,85 @@ def test_evaluate_deterministic_output(synth_corpus, capsys):
     ids=["match", "match-cross-test", "tree", "bayes", "tfidf"],
 )
 def test_evaluate_output_is_independent_of_run_and_project_order(
-    synth_corpus, capsys, method
+    synth_corpus, tmp_path, capsys, method
 ):
+    """Stdout and every report file."""
     reversed_corpus = synth_corpus.with_name("reversed.xml")
     reversed_corpus.write_bytes(reverse_project_order(synth_corpus.read_bytes()))
     assert reversed_corpus.read_bytes() != synth_corpus.read_bytes()
     outputs = []
-    for corpus in (synth_corpus, synth_corpus, reversed_corpus):
-        code, out, _ = run(capsys, "evaluate", "--corpus", corpus, "--method", *method)
+    for i, corpus in enumerate((synth_corpus, synth_corpus, reversed_corpus)):
+        reports = tmp_path / f"reports{i}"
+        code, out, _ = run(capsys, "evaluate", "--corpus", corpus, "--method", *method,
+                           "--report-dir", reports)
         assert code == EXIT_OK
-        outputs.append(out)
+        outputs.append((out, {p.name: p.read_bytes() for p in reports.iterdir()}))
+    assert sorted(outputs[0][1]) == ["proj00.jsonl", "proj00.txt",
+                                     "proj01.jsonl", "proj01.txt"]
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("scope, tp", [("per-test", 0), ("cross-test", 2)])
+def test_evaluate_match_scores_in_the_given_scope(tmp_path, capsys, scope, tp):
+    # Two tests fail alike once each: a match only across tests.
+    failures = "".join(
+        f'<Failure><T project="p">a.T.m{i}</T><E>E</E><M/>'
+        f"<S><line>x.Lib.call(Lib.java:3)</line></S></Failure>"
+        for i in (1, 2)
+    )
+    (tmp_path / "corpus.xml").write_text(f"<Corpus>{failures}</Corpus>")
+    reports = tmp_path / "reports"
+    code, _, _ = run(capsys, "evaluate", "--corpus", tmp_path / "corpus.xml",
+                     "--method", "match", "--scope", scope, "--report-dir", reports)
+    assert code == EXIT_OK
+    record = json.loads((reports / "p.jsonl").read_text())
+    assert (record["tp"], record["fn"]) == (tp, 2 - tp)
+
+
+@pytest.mark.parametrize(
+    "method, heading, columns",
+    [
+        ("match", "== text matching (mode=full, scope=per_test) ==",
+         evaluation.MATCHING_COLUMNS),
+        ("tree", "== cross-validation (method=tree, k=5, seed=0, oversample=off) ==",
+         evaluation.CV_COLUMNS),
+    ],
+)
+def test_evaluate_empty_corpus_is_header_only(tmp_path, capsys, method, heading, columns):
+    empty = tmp_path / "empty.xml"
+    empty.write_bytes(b"<Corpus/>")
+    reports = tmp_path / "reports"
+    code, out, err = run(capsys, "evaluate", "--corpus", empty, "--method", method,
+                         "--report-dir", reports)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.split("\n\n") == [
+        heading, "  ".join(columns),
+        "== exceptions (full matching) ==", "  ".join(evaluation.EXCEPTION_COLUMNS),
+        "== exceptions (exception-only matching) ==",
+        "  ".join(evaluation.EXCEPTION_COLUMNS) + "\n",
+    ]
+    assert list(reports.iterdir()) == []
+
+
+def test_evaluate_cv_with_every_project_skipped(tmp_path, capsys):
+    failures = "".join(
+        f'<Failure label="{label}"><T project="{project}">a.T.m</T>'
+        f"<E>E{i}</E><M/><S/></Failure>"
+        for project, n_flaky in (("b", 9), ("a", 0))
+        for i, label in enumerate(["flaky"] * n_flaky + ["true"] * 6)
+    )
+    (tmp_path / "corpus.xml").write_text(f"<Corpus>{failures}</Corpus>")
+    reports = tmp_path / "reports"
+    code, out, err = run(capsys, "evaluate", "--corpus", tmp_path / "corpus.xml",
+                         "--method", "tree", "--report-dir", reports)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.split("\n\n== exceptions", 1)[0].split("\n\n") == [
+        "== cross-validation (method=tree, k=5, seed=0, oversample=off) ==",
+        "  ".join(evaluation.CV_COLUMNS),
+        "skipped a: fewer than 10 flaky failures (0)",
+        "skipped b: fewer than 10 flaky failures (9)",
+    ]
+    assert list(reports.iterdir()) == []
 
 
 def _on_alluxio_corpus(workdir, command, method):

@@ -284,6 +284,24 @@ def test_cv_insufficient_classes():
         )
 
 
+def test_cv_error_names_the_project_of_its_failures():
+    test = TestId("p", "a.T", "m")
+    with pytest.raises(InsufficientTrue) as info:
+        cross_validate_project(
+            _normalized(test, "E", 9, Label.FLAKY),
+            _normalized(test, "F", 3, Label.TRUE),
+            5,
+            match_trainer(),
+        )
+    assert str(info.value) == "project 'p': 3 true failures but k=5"
+    with pytest.raises(InsufficientFlaky) as info:
+        cross_validate_project([], _normalized(test, "F", 3, Label.TRUE), 5, match_trainer())
+    assert str(info.value) == "project 'p': 0 flaky failures but k=5"
+    with pytest.raises(InsufficientFlaky) as info:
+        cross_validate_project([], [], 5, match_trainer())
+    assert str(info.value) == "0 flaky failures but k=5"
+
+
 def test_stratified_cv_names_the_project_lacking_failures():
     corpus = Corpus()
     corpus.add_all(_labeled(TestId("a", "a.T", "m"), "E", 12, Label.FLAKY))

@@ -11,6 +11,8 @@ from flaketriage.ingest import normalize, parse_failure_text
 from flaketriage.matching import (
     MatchMode,
     MatchScope,
+    ProjectRepetitiveness,
+    RepetitivenessReport,
     TriageBasis,
     matches,
     repetitiveness,
@@ -318,6 +320,10 @@ def test_repetitiveness_singleton():
     assert (stats.flaky, stats.distinct) == (1, 1)
     assert (stats.uniq_per_test, stats.repet_per_test) == (1, 0)
     assert (stats.uniq_cross, stats.repet_cross) == (1, 0)
+
+
+def test_repetitiveness_total_of_no_projects_is_zero():
+    assert RepetitivenessReport({}).total() == ProjectRepetitiveness(0, 0, 0, 0, 0, 0, 0)
 
 
 def _brute_force_repetitiveness(corpus, project):

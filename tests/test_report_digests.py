@@ -10,7 +10,9 @@ as the nearest-neighbour method, so those digests coincide; each still pins
 its own command. A third query log holds another test's failure under the
 query test's name: per-test matching finds nothing, cross-test matching
 finds that test's records and nearest neighbour the closest of them, so its
-three digests differ. The corpus is small and generated, and its true
+three digests differ. The report files that ``evaluate --report-dir``
+writes are pinned too, one digest per directory, for match in both scopes,
+tree, and oversampled bayes. The corpus is small and generated, and its true
 failures are under 10% of its flaky ones in every training fold, so
 ``--oversample`` adds copies.
 """
@@ -120,6 +122,29 @@ REPORTS = {
     ),
 }
 
+# Each report directory's ``evaluate`` arguments after ``--corpus``, and the
+# sha256 of its files' names and bytes, in name order.
+# Matching scores every failure of this corpus alike in both scopes, so the
+# two match digests coincide.
+REPORT_DIRS = {
+    "evaluate-match": (
+        ["--method", "match"],
+        "9eb9eee7a95ef348d360d79e5672418a20a46ede72b652532eaf7346564bc45b",
+    ),
+    "evaluate-match-cross-test": (
+        ["--method", "match", "--scope", "cross-test"],
+        "9eb9eee7a95ef348d360d79e5672418a20a46ede72b652532eaf7346564bc45b",
+    ),
+    "evaluate-tree": (
+        ["--method", "tree"],
+        "fb6c8bcda4e7e979e8298c24c7fc87b68e35a6ef87aad3fdc732e8b7f088f588",
+    ),
+    "evaluate-bayes-oversample-k3-seed4": (
+        ["--method", "bayes", "--oversample", "--k", "3", "--seed", "4"],
+        "26a5ff7654350904b7724ea1ab995baf22c2017bd582d1b34bdc53649418176e",
+    ),
+}
+
 
 def write_log(path, record) -> None:
     lines = [f"{record.exception_type}: {record.message}"]
@@ -165,3 +190,23 @@ def test_report_stdout_is_pinned(inputs, capsys, name):
     out = capsys.readouterr().out
     digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
     assert digest == REPORTS[name][1], out
+
+
+def directory_digest(path) -> str:
+    digest = hashlib.sha256()
+    for file in sorted(path.iterdir()):
+        data = file.read_bytes()
+        digest.update(f"{file.name}\n{len(data)}\n".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIRS))
+def test_report_files_are_pinned(inputs, tmp_path, capsys, name):
+    argv, want = REPORT_DIRS[name]
+    reports = tmp_path / "reports"
+    code = main(["evaluate", "--corpus", str(inputs / "corpus.xml"), *argv,
+                 "--report-dir", str(reports)])
+    capsys.readouterr()
+    assert code == 0
+    assert directory_digest(reports) == want, sorted(p.name for p in reports.iterdir())
