@@ -25,7 +25,6 @@ from .errors import (
     InvalidLogBase,
     MalformedFrame,
     MalformedLog,
-    ModeMismatch,
     SchemaError,
     UnknownTerm,
     UnlabeledRecord,
@@ -60,7 +59,6 @@ from .matching import (
     RepetitivenessReport,
     TriageBasis,
     TriageVerdict,
-    matches,
     project_index,
     repetitiveness,
     signature,

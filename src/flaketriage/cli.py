@@ -179,7 +179,7 @@ def _cmd_parse(args) -> int:
     )
     for frame in nf.kept_frames:
         print(f"  {frame.raw}")
-    print(f"signature ({sig.mode}, {sig.scope}):")
+    print("signature (full, per_test):")
     print(f"  {sig.exception_type}")
     for key in sig.frame_keys:
         print(f"  {key}")
@@ -273,16 +273,10 @@ def _cmd_evaluate(args) -> int:
             return [evaluation.matching_record_json(name, result[0])]
     else:
         for project in projects:
-            flaky, true = evaluation.labeled_failures(corpus, project)
-            if len(flaky) < evaluation.MIN_FLAKY_FOR_CV:
-                skipped[project] = (
-                    f"fewer than {evaluation.MIN_FLAKY_FOR_CV} flaky failures "
-                    f"({len(flaky)})"
+            if failures := evaluation.cv_failures(corpus, project, skipped):
+                results[project] = evaluation.cross_validate_project(
+                    *failures, args.k, _make_trainer(args), args.seed
                 )
-                continue
-            results[project] = evaluation.cross_validate_project(
-                flaky, true, args.k, _make_trainer(args), args.seed
-            )
         balancing = "on" if args.oversample else "off"
         heading = (
             f"== cross-validation (method={args.method}, k={args.k}, "

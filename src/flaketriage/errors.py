@@ -21,10 +21,6 @@ class DuplicateProjectMismatch(SchemaError):
     """A failure's project attribute conflicts with its enclosing project group."""
 
 
-class ModeMismatch(FlakeTriageError):
-    """Two signatures built under different modes or scopes were compared."""
-
-
 class UnlabeledRecord(FlakeTriageError):
     """A record without a flaky/true label was used where a label is required."""
 

@@ -325,6 +325,22 @@ def labeled_failures(corpus: Corpus, project: str) -> tuple[list[NormalizedFailu
     return tuple([nf for nf in normalized if nf.base.label is label] for label in labels)
 
 
+def cv_failures(
+    corpus: Corpus, project: str, skipped: dict[str, str]
+) -> tuple[list[NormalizedFailure], ...] | None:
+    """A project's flaky and true failures to cross-validate, as
+    :func:`labeled_failures` gives them.
+
+    A project with fewer than :data:`MIN_FLAKY_FOR_CV` flaky failures is not
+    cross-validated: it gets None, and ``skipped`` says why under its name.
+    """
+    flaky, true = labeled_failures(corpus, project)
+    if len(flaky) < MIN_FLAKY_FOR_CV:
+        skipped[project] = f"fewer than {MIN_FLAKY_FOR_CV} flaky failures ({len(flaky)})"
+        return None
+    return flaky, true
+
+
 def stratified_cv(
     corpus: Corpus,
     k: int,
@@ -333,21 +349,15 @@ def stratified_cv(
 ) -> CorpusCvResult:
     """Cross-validate every project of a corpus independently.
 
-    Projects with fewer than :data:`MIN_FLAKY_FOR_CV` flaky failures are
-    skipped with a diagnostic instead of being evaluated. Each project is
-    seeded with the same ``seed``, so per-project results do not depend on
-    evaluation order.
+    Projects :func:`cv_failures` skips get a diagnostic instead of being
+    evaluated. Each project is seeded with the same ``seed``, so per-project
+    results do not depend on evaluation order.
     """
     per_project: dict[str, CvResult] = {}
     skipped: dict[str, str] = {}
     for project in corpus.project_names():
-        flaky, true = labeled_failures(corpus, project)
-        if len(flaky) < MIN_FLAKY_FOR_CV:
-            skipped[project] = (
-                f"fewer than {MIN_FLAKY_FOR_CV} flaky failures ({len(flaky)})"
-            )
-            continue
-        per_project[project] = cross_validate_project(flaky, true, k, trainer, seed)
+        if failures := cv_failures(corpus, project, skipped):
+            per_project[project] = cross_validate_project(*failures, k, trainer, seed)
     return CorpusCvResult(per_project, skipped)
 
 

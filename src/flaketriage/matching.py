@@ -3,7 +3,7 @@
 A failure's signature is its exception type plus its normalized stack frames
 rendered to text; the free-text message never participates, because volatile
 details (hosts, timestamps) would otherwise set equivalent failures apart.
-Matching is exact componentwise equality of signatures.
+Two failures match when their signatures are equal.
 """
 from __future__ import annotations
 
@@ -11,9 +11,8 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .errors import ModeMismatch
 from .ingest import NormalizedFailure, normalize
 from .model import Corpus, KnownTests, Label, TestId, record_id
 
@@ -42,18 +41,17 @@ class MatchScope(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class FailureSignature:
-    """Canonical match key of a failure under a chosen mode and scope.
+class FailureSignature(NamedTuple):
+    """Canonical match key of a failure: two failures match when their
+    signatures, built under the same mode and scope, are equal.
 
-    Equality is componentwise; two signatures from different modes or scopes
-    are never meaningfully comparable (see :func:`matches`).
+    A signature equals the plain tuple it holds, so it is a
+    :class:`ProjectIndex` key as it stands across tests, and
+    ``(test, *signature)`` is the key per test.
     """
 
     exception_type: str
     frame_keys: tuple[str, ...]
-    mode: MatchMode
-    scope: MatchScope
 
 
 class TriageBasis(Enum):
@@ -108,8 +106,9 @@ def signature(
     failures that differ only in a line number do not match. Under CROSS_TEST scope, frames whose class
     equals the failure's own test class, or whose class.method is prefixed by
     any known test's full name, are removed before keying. Under
-    EXCEPTION_ONLY mode there are no frame keys. Pass a :class:`KnownTests`
-    to reuse its name lookup across calls.
+    EXCEPTION_ONLY mode there are no frame keys. The value is the match key
+    :meth:`ProjectIndex.key` builds as a plain tuple. Pass a
+    :class:`KnownTests` to reuse its name lookup across calls.
     """
     known = None
     if scope is MatchScope.CROSS_TEST and mode is MatchMode.FULL:
@@ -118,8 +117,7 @@ def signature(
             if isinstance(known_tests, KnownTests)
             else KnownTests(known_tests)
         )
-    keys = _frame_keys(nf, mode, known)
-    return FailureSignature(nf.base.exception_type, keys, mode, scope)
+    return FailureSignature(nf.base.exception_type, _frame_keys(nf, mode, known))
 
 
 def _frame_keys(
@@ -140,16 +138,6 @@ def _frame_keys(
     ])
 
 
-def matches(a: FailureSignature, b: FailureSignature) -> bool:
-    """True iff the exception types and frame keys are equal elementwise."""
-    if a.mode is not b.mode or a.scope is not b.scope:
-        raise ModeMismatch(
-            f"cannot compare signatures built under {a.mode}/{a.scope} "
-            f"and {b.mode}/{b.scope}"
-        )
-    return a.exception_type == b.exception_type and a.frame_keys == b.frame_keys
-
-
 def triage(
     nf: NormalizedFailure,
     history: Corpus,
@@ -163,16 +151,19 @@ def triage(
     project's :func:`project_index`. An empty relevant history yields
     MATCHED_NONE (predicted true), not an error. Evidence lists the matching
     flaky records, then the matching true ones, each in history order.
+
+    A record matches when its :func:`signature` equals the failure's; the
+    walks compare the exception type first, then the frame keys with ``==``.
     """
     # A match needs equal exception types, so a record of another type is
-    # never normalized or signed; under EXCEPTION_ONLY the type alone decides.
+    # never normalized or keyed; under EXCEPTION_ONLY the type alone decides.
     test, exception = nf.base.test, nf.base.exception_type
     hits: dict[Label, list[str]] = {Label.FLAKY: [], Label.TRUE: []}
     if scope is MatchScope.PER_TEST:
-        target = signature(nf, mode, scope)
+        target = _frame_keys(nf, mode, None)
         # With the test and exception fixed, the frames alone decide, and
         # copies of a recurring failure share frame objects, so each sequence
-        # of frame objects is signed once. An id names an object only while
+        # of frame objects is keyed once. An id names an object only while
         # it lives, so the memo must not outlive this call.
         matched: dict[tuple[int, ...], bool] = {}
         for label, ids in hits.items():
@@ -183,9 +174,8 @@ def triage(
                     frames = tuple(map(id, record.frames))
                     hit = matched.get(frames)
                     if hit is None:
-                        hit = matched[frames] = matches(
-                            target, signature(normalize(record), mode, scope)
-                        )
+                        keys = _frame_keys(normalize(record), mode, None)
+                        hit = matched[frames] = keys == target
                     if not hit:
                         continue
                 ids.append(record_id(test, label, i))
@@ -197,12 +187,12 @@ def triage(
             # The query's own test is a known test too; key the project's
             # failures against the widened set, without keeping the keys.
             known = KnownTests([*index.known.tests, test])
-            target = signature(nf, mode, scope, known)
+            target = _frame_keys(nf, mode, known)
             positions = [
                 i
                 for i, other in enumerate(index.normalized)
                 if other.base.exception_type == exception
-                and matches(target, signature(other, mode, scope, known))
+                and _frame_keys(other, mode, known) == target
             ]
         for i in positions:
             hits[index.records[i].label].append(index.ids[i])
@@ -219,10 +209,9 @@ class ProjectIndex:
 
     Holds the failures, their records and the records' tests as the known
     tests, and groups the records by match key per mode and scope on first
-    use. A record's key is the plain tuple ``(test, exception_type,
-    frame_keys)`` under PER_TEST and ``(exception_type, frame_keys)`` under
-    CROSS_TEST, where the known tests' frames are dropped; ``frame_keys`` are
-    those of :func:`signature`.
+    use. A record's key is the plain tuple ``(test, *signature)`` under
+    PER_TEST and ``signature`` under CROSS_TEST, where the known tests'
+    frames are dropped, for the record's :func:`signature`.
     """
 
     def __init__(self, normalized: Iterable[NormalizedFailure]) -> None:
@@ -246,7 +235,12 @@ class ProjectIndex:
         return tuple(ids)
 
     def key(self, nf: NormalizedFailure, mode: MatchMode, scope: MatchScope) -> tuple:
-        """Match key of any normalized failure against these known tests."""
+        """Match key of any normalized failure against these known tests.
+
+        Equal to ``(test, *signature(nf, mode, scope))`` under PER_TEST and
+        to ``signature(nf, mode, scope, self.known)`` under CROSS_TEST, built
+        as a plain tuple.
+        """
         record = nf.base
         if scope is MatchScope.PER_TEST:
             return (record.test, record.exception_type, _frame_keys(nf, mode, None))

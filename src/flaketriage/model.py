@@ -115,8 +115,11 @@ class StackFrame:
 
     Two texts derived from the fields are stored with the frame, so that a
     frame shared by many failures derives them once: ``location``, the
-    ``CLASS.METHOD`` text, and ``rendered``, the text :meth:`render` returns.
-    Equality, hashing and repr ignore both.
+    ``CLASS.METHOD`` text, and ``rendered``, the canonical text form:
+    ``CLASS.METHOD(FILE:LINE)`` with the line as a plain integer, otherwise
+    ``raw``. It differs from ``raw`` where the text was not canonical, e.g. a
+    zero-padded line (``B.java:01`` renders as ``B.java:1``). Equality,
+    hashing and repr ignore both.
     """
 
     class_fqn: str
@@ -156,15 +159,6 @@ class StackFrame:
             raw = f"{class_fqn}.{method}(Native Method)"
         return cls(class_fqn, method, file, line, raw)
 
-    def render(self) -> str:
-        """Canonical text form: ``CLASS.METHOD(FILE:LINE)`` with the line as
-        a plain integer, otherwise ``raw``.
-
-        It differs from ``raw`` where the text was not canonical, e.g. a
-        zero-padded line (``B.java:01`` renders as ``B.java:1``).
-        """
-        return self.rendered
-
 
 _new_object = object.__new__
 _set_class_fqn = StackFrame.class_fqn.__set__
@@ -190,8 +184,8 @@ def _prechecked_frame(
     Only for a caller whose grammar already guarantees the checks (a
     non-empty class without whitespace, a non-empty method, and no line or a
     non-negative one) and that passes the derived texts ``__post_init__``
-    would set: ``location`` is ``CLASS.METHOD`` and ``rendered`` what
-    :meth:`StackFrame.render` returns. It sets the slots directly, so it
+    would set: ``location`` is ``CLASS.METHOD`` and ``rendered`` the
+    canonical text of :class:`StackFrame`. It sets the slots directly, so it
     costs about half of ``StackFrame(...)``; the result equals what
     ``StackFrame(...)`` builds.
     """

@@ -116,7 +116,7 @@ def frame(class_fqn: str, method: str, file: str | None = None, line: int | None
 
 def render_from_fields(f: StackFrame) -> str:
     """A frame's canonical text, computed here from its fields: the oracle
-    of the text the frame stores and ``render()`` returns."""
+    of the text the frame stores in ``rendered``."""
     if f.file is not None and f.line is not None:
         return f"{f.class_fqn}.{f.method}({f.file}:{f.line})"
     return f.raw

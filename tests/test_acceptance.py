@@ -25,7 +25,6 @@ from flaketriage.matching import (
     MatchMode,
     MatchScope,
     TriageBasis,
-    matches,
     project_index,
     repetitiveness,
     signature,
@@ -119,7 +118,6 @@ def test_criterion_2_reference_pair():
     sig_first = signature(normalize(first))
     sig_second = signature(normalize(second))
     assert sig_first == sig_second
-    assert matches(sig_first, sig_second)
 
     history = Corpus()
     history.add(dataclasses.replace(first, label=Label.FLAKY))
@@ -155,7 +153,7 @@ def _pairwise_score(corpus, mode, scope):
                     continue
                 if scope is MatchScope.PER_TEST and test_i != test_j:
                     continue
-                if matches(sig_i, sig_j):
+                if sig_i == sig_j:
                     if label_j is Label.FLAKY:
                         hit_flaky = True
                     else:
@@ -198,9 +196,9 @@ def _pairwise_repetitiveness(corpus, project):
         for j, (test_j, _) in enumerate(entries):
             if i == j:
                 continue
-            if test_i == test_j and matches(per_test_sigs[i], per_test_sigs[j]):
+            if test_i == test_j and per_test_sigs[i] == per_test_sigs[j]:
                 per_test_hit = True
-            if matches(cross_sigs[i], cross_sigs[j]):
+            if cross_sigs[i] == cross_sigs[j]:
                 cross_hit = True
         uniq_per_test += not per_test_hit
         uniq_cross += not cross_hit

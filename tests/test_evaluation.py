@@ -21,7 +21,7 @@ from flaketriage.evaluation import (
     tree_trainer,
 )
 from flaketriage.ingest import normalize, read_corpus_xml
-from flaketriage.matching import MatchMode, MatchScope, matches, signature, triage
+from flaketriage.matching import MatchMode, MatchScope, signature, triage
 from flaketriage.model import Corpus, Label, TestId
 from flaketriage.synth import (
     CountDistribution,
@@ -149,7 +149,7 @@ def _brute_force_score(corpus, mode, scope):
                     continue
                 if scope is MatchScope.PER_TEST and test_i != test_j:
                     continue
-                if matches(sig_i, sig_j):
+                if sig_i == sig_j:
                     if label_j is Label.FLAKY:
                         hit_flaky = True
                     else:

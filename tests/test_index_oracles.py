@@ -42,7 +42,6 @@ from flaketriage.matching import (
     ProjectIndex,
     TriageBasis,
     TriageVerdict,
-    matches,
     signature,
     triage,
 )
@@ -101,9 +100,7 @@ def oracle_cross_test_signature(nf, known_tests):
         )
     )
     keys = tuple(render_from_fields(f) for f in frames)
-    return FailureSignature(
-        nf.base.exception_type, keys, MatchMode.FULL, MatchScope.CROSS_TEST
-    )
+    return FailureSignature(nf.base.exception_type, keys)
 
 
 def oracle_triage(nf, history, mode, scope):
@@ -115,7 +112,7 @@ def oracle_triage(nf, history, mode, scope):
     for record_id, rec in history.identified_records(project):
         if scope is MatchScope.PER_TEST and rec.test != test:
             continue
-        if matches(target, signature(normalize(rec), mode, scope, known)):
+        if target == signature(normalize(rec), mode, scope, known):
             (flaky_hits if rec.label is Label.FLAKY else true_hits).append(record_id)
     if flaky_hits and true_hits:
         basis = TriageBasis.MATCHED_BOTH
@@ -136,7 +133,7 @@ def oracle_per_test_triage(nf, history, mode):
     target = signature(nf, mode, scope)
     for label, ids in hits.items():
         for i, record in enumerate(history.bucket(test, label)):
-            if matches(target, signature(normalize(record), mode, scope)):
+            if target == signature(normalize(record), mode, scope):
                 ids.append(record_id(test, label, i))
 
     flaky_hits, true_hits = hits[Label.FLAKY], hits[Label.TRUE]
@@ -377,6 +374,14 @@ def test_groups_partition_the_records_as_the_signature_keys_did(seed):
                 groups = list(index.groups(mode, scope).values())
                 assert groups == partition(signature_key(index, nf, mode, scope) for nf in nfs)
                 shared += sum(len(g) > 1 for g in groups)
+            # One format: a signature is the index's key as it stands.
+            for mode, nf in itertools.product(MatchMode, nfs):
+                assert index.key(nf, mode, MatchScope.CROSS_TEST) == signature(
+                    nf, mode, MatchScope.CROSS_TEST, index.known
+                )
+                assert index.key(nf, mode, MatchScope.PER_TEST) == (
+                    nf.base.test, *signature(nf, mode, MatchScope.PER_TEST)
+                )
     assert shared
 
 

@@ -191,9 +191,9 @@ def test_parse_frame_accepts_unknown_source():
 def test_parsed_frames_render_back_to_their_raw_text(alluxio_logs, alluxio_test):
     rec = parse_failure_text(alluxio_logs[0], alluxio_test)
     for f in rec.frames:
-        assert f.render() == f.raw
+        assert f.rendered == f.raw
     spaced = parse_frame("  a.B.c(B.java:7)  ")
-    assert spaced.render() == spaced.raw == "a.B.c(B.java:7)"
+    assert spaced.rendered == spaced.raw == "a.B.c(B.java:7)"
 
 
 def test_frames_share_one_object_per_name():
@@ -314,7 +314,7 @@ def test_parse_failure_file_keeps_utf8_and_crlf_logs(tmp_path):
     path = tmp_path / "utf8.log"
     path.write_bytes(LATIN1_LOG.decode("latin-1").replace("\n", "\r\n").encode("utf-8"))
     rec = parse_failure_file(path, TestId("p", "a.B", "test"))
-    assert (rec.message, [f.render() for f in rec.frames]) == (
+    assert (rec.message, [f.rendered for f in rec.frames]) == (
         "caf\u00e9", ["a.B.test(B.java:1)"],
     )
 

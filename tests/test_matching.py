@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flaketriage.errors import ModeMismatch
 from flaketriage.ingest import normalize, parse_failure_text
 from flaketriage.matching import (
     MatchMode,
@@ -14,7 +13,6 @@ from flaketriage.matching import (
     ProjectRepetitiveness,
     RepetitivenessReport,
     TriageBasis,
-    matches,
     repetitiveness,
     signature,
     triage,
@@ -84,56 +82,66 @@ def test_signature_keys_keep_line_numbers():
     test = TestId("p", "a.T", "m")
     a = record(test, "E", frames=(frame("a.X", "f", "X.java", 1),))
     b = record(test, "E", frames=(frame("a.X", "f", "X.java", 2),))
-    assert not matches(_sig(a), _sig(b))
+    assert _sig(a) != _sig(b)
     assert _sig(a).frame_keys == ("a.X.f(X.java:1)",)
 
 
-# --- matches ------------------------------------------------------------------
+# --- matching -----------------------------------------------------------------
 
 
 def test_alluxio_pair_matches_despite_messages(alluxio_logs, alluxio_test):
     first = parse_failure_text(alluxio_logs[0], alluxio_test)
     second = parse_failure_text(alluxio_logs[1], alluxio_test)
     assert first.message != second.message
-    assert matches(_sig(first), _sig(second))
+    assert _sig(first) == _sig(second)
 
 
 def test_matches_is_reflexive(alluxio_logs, alluxio_test):
-    sig = _sig(parse_failure_text(alluxio_logs[0], alluxio_test))
-    assert matches(sig, sig)
+    rec = parse_failure_text(alluxio_logs[0], alluxio_test)
+    assert _sig(rec) == _sig(rec)
 
 
 def test_extra_frame_breaks_match():
     test = TestId("p", "a.T", "m")
     a = record(test, "E", frames=(frame("a.X", "f", "X.java", 1),))
     b = record(test, "E", frames=(frame("a.X", "f", "X.java", 1), frame("a.Y", "g", "Y.java", 2)))
-    assert not matches(_sig(a), _sig(b))
+    assert _sig(a) != _sig(b)
 
 
-def test_matches_requires_same_mode_and_scope():
+def test_signature_is_the_plain_key_pair_in_every_mode_and_scope():
     test = TestId("p", "a.T", "m")
-    rec = record(test, "E")
-    with pytest.raises(ModeMismatch):
-        matches(_sig(rec), _sig(rec, MatchMode.EXCEPTION_ONLY))
-    with pytest.raises(ModeMismatch):
-        matches(_sig(rec), _sig(rec, scope=MatchScope.CROSS_TEST))
+    rec = record(test, "E", frames=(frame("a.X", "f", "X.java", 1), frame("a.T", "m", "T.java", 9)))
+    for mode in MatchMode:
+        for scope in MatchScope:
+            sig = _sig(rec, mode, scope, known={test})
+            assert type(sig)._fields == ("exception_type", "frame_keys")
+            assert not hasattr(sig, "mode") and not hasattr(sig, "scope")
+            plain = (sig.exception_type, sig.frame_keys)
+            assert sig == plain and hash(sig) == hash(plain)
+            assert {plain: scope}[sig] is scope
+            assert (test, *sig) == (test, "E", sig.frame_keys)
 
 
 @given(st.data())
 @settings(max_examples=100)
-def test_matches_is_an_equivalence_relation(data):
+def test_signature_equality_is_an_equivalence_relation(data):
     test = TestId("p", "a.T", "m")
     pool = [
-        record(test, e, frames=f)
+        record(test, e, message=m, frames=f)
         for e in ("E1", "E2")
+        for m in ("one", "two")
         for f in ((), (frame("a.X", "f", "X.java", 1),))
     ]
     a, b, c = (data.draw(st.sampled_from(pool)) for _ in range(3))
     sa, sb, sc = _sig(a), _sig(b), _sig(c)
-    assert matches(sa, sa)
-    assert matches(sa, sb) == matches(sb, sa)
-    if matches(sa, sb) and matches(sb, sc):
-        assert matches(sa, sc)
+    assert sa == sa
+    assert (sa == sb) == (sb == sa)
+    if sa == sb and sb == sc:
+        assert sa == sc
+    if sa == sb:
+        assert hash(sa) == hash(sb)
+    same = a.exception_type == b.exception_type and a.frames == b.frames
+    assert (sa == sb) == same
 
 
 def test_full_match_implies_exception_only_match():
@@ -142,11 +150,8 @@ def test_full_match_implies_exception_only_match():
         for project in corpus.project_names():
             records = list(corpus.records(project))
             for a, b in itertools.combinations(records, 2):
-                if matches(_sig(a), _sig(b)):
-                    assert matches(
-                        _sig(a, MatchMode.EXCEPTION_ONLY),
-                        _sig(b, MatchMode.EXCEPTION_ONLY),
-                    )
+                if _sig(a) == _sig(b):
+                    assert _sig(a, MatchMode.EXCEPTION_ONLY) == _sig(b, MatchMode.EXCEPTION_ONLY)
 
 
 # --- triage -------------------------------------------------------------------
@@ -341,11 +346,10 @@ def _brute_force_repetitiveness(corpus, project):
         for j, (test_j, rec_j) in enumerate(entries):
             if i == j:
                 continue
-            if test_i == test_j and matches(_sig(rec_i), _sig(rec_j)):
+            if test_i == test_j and _sig(rec_i) == _sig(rec_j):
                 per_test_hit = True
-            if matches(
-                _sig(rec_i, scope=MatchScope.CROSS_TEST, known=known),
-                _sig(rec_j, scope=MatchScope.CROSS_TEST, known=known),
+            if _sig(rec_i, scope=MatchScope.CROSS_TEST, known=known) == _sig(
+                rec_j, scope=MatchScope.CROSS_TEST, known=known
             ):
                 cross_hit = True
         uniq_per_test += not per_test_hit

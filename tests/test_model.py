@@ -41,9 +41,9 @@ def test_test_id_rejects_empty_fields():
 def test_frame_render_round_trips():
     f = frame("a.B", "c", "B.java", 7)
     assert f.raw == "a.B.c(B.java:7)"
-    assert f.render() == f.raw
+    assert f.rendered == f.raw
     native = frame("a.B", "c")
-    assert native.render() == "a.B.c(Native Method)"
+    assert native.rendered == "a.B.c(Native Method)"
     assert native.file is None and native.line is None
 
 

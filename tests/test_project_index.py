@@ -141,8 +141,8 @@ def test_query_of_an_unknown_project_builds_no_index(monkeypatch):
 
 def test_keys_and_features_derive_each_frame_text_once(monkeypatch):
     # After a read, a frame's texts are stored on it: the reader renders only
-    # a zero-padded line anew, and keying and feature extraction render
-    # nothing. Each known-tests set scans the name lengths for a text once.
+    # a zero-padded line anew, and keying and feature extraction build no
+    # frame. Each known-tests set scans the name lengths for a text once.
     document = write_corpus_xml(with_padded_lines(random_corpus(3, max_records=250)))
     built = []
     prechecked = ingest._prechecked_frame
@@ -158,7 +158,6 @@ def test_keys_and_features_derive_each_frame_text_once(monkeypatch):
     assert all(f.raw != f.rendered == f"{f.location}({f.file}:{f.line})" for f in rendered_anew)
 
     renders = []
-    monkeypatch.setattr(StackFrame, "render", lambda f: renders.append(f))
     monkeypatch.setattr(StackFrame, "__post_init__", lambda f: renders.append(f))
     scans: Counter[tuple[int, str]] = Counter()
     scanners = []  # kept alive, so that their ids stay distinct

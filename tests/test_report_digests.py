@@ -148,7 +148,7 @@ REPORT_DIRS = {
 
 def write_log(path, record) -> None:
     lines = [f"{record.exception_type}: {record.message}"]
-    lines += [f"\tat {frame.render()}" for frame in record.frames]
+    lines += [f"\tat {frame.rendered}" for frame in record.frames]
     path.write_text("\n".join(lines) + "\n")
 
 
