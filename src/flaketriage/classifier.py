@@ -12,7 +12,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Hashable, Iterable, Sequence, TypeVar, Union
 
 from .errors import EmptyDataset
 from .ingest import NormalizedFailure
@@ -34,6 +34,7 @@ _FEATURES = (
 )
 
 Sample = tuple["FeatureVector", Label]
+_K = TypeVar("_K", bound=Hashable)
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,8 @@ class FeatureContext:
 
     Built once per set of known tests and code-under-test prefixes, then
     applied to any number of failures; see :func:`extract_features` for the
-    meaning of each part.
+    meaning of each part. :meth:`features` walks a failure's kept frames
+    once, setting the five booleans together.
     """
 
     def __init__(self, known: KnownTests, cut_prefixes: Iterable[str]) -> None:
@@ -84,28 +86,24 @@ class FeatureContext:
 
     def features(self, nf: NormalizedFailure) -> FeatureVector:
         test = nf.base.test
-        full_name = test.full_name()
+        full_name, test_class = test.full_name(), test.class_fqn
         excluded = self.known.name_to_exclude(test)
-        known_classes = self.known.classes
-        frames = nf.kept_frames
-        lines = [f.rendered for f in frames]
-        return FeatureVector(
-            exception_type=nf.base.exception_type,
-            test_name_in_trace=any(line.startswith(full_name) for line in lines),
-            test_class_in_trace=any(test.class_fqn in line for line in lines),
-            other_tests_in_trace=any(
-                self.known.prefixes(line, excluded) for line in lines
-            ),
-            junit_in_trace=any(
-                f.class_fqn.startswith(FRAMEWORK_PREFIXES) for f in frames
-            ),
-            cut_in_trace=any(
-                f.class_fqn not in known_classes
-                and f.class_fqn != test.class_fqn
-                and f.class_fqn.startswith(self.cut_prefixes)
-                for f in frames
-            ),
-        )
+        prefixes, known_classes = self.known.prefixes, self.known.classes
+        cut_prefixes = self.cut_prefixes
+        name = klass = others = junit = cut = False
+        for frame in nf.kept_frames:
+            line, class_fqn = frame.rendered, frame.class_fqn
+            # Each test stops being evaluated once it is true, as any() would.
+            name = name or line.startswith(full_name)
+            klass = klass or test_class in line
+            others = others or prefixes(line, excluded)
+            junit = junit or class_fqn.startswith(FRAMEWORK_PREFIXES)
+            cut = cut or (
+                class_fqn not in known_classes
+                and class_fqn != test_class
+                and class_fqn.startswith(cut_prefixes)
+            )
+        return FeatureVector(nf.base.exception_type, name, klass, others, junit, cut)
 
 
 def extract_features(
@@ -162,15 +160,21 @@ def _matches_split(fv: FeatureVector, feature: str, category: str | None) -> boo
     return bool(getattr(fv, feature))
 
 
-def _groups(data: Iterable[Sample]) -> list[tuple[tuple, int, int]]:
+def tally(data: Iterable[tuple[_K, Label]]) -> dict[_K, list[int]]:
+    """Per distinct key of the samples, in first-seen order, its numbers of
+    flaky and true samples."""
+    counts: dict[_K, list[int]] = {}
+    for key, label in data:
+        counts.setdefault(key, [0, 0])[label is not Label.FLAKY] += 1
+    return counts
+
+
+def _groups(tallies: dict[FeatureVector, list[int]]) -> list[tuple[tuple, int, int]]:
     """Per distinct feature vector: its values in _FEATURES order, and its
     numbers of flaky and true samples."""
-    counts: dict[FeatureVector, list[int]] = {}
-    for fv, label in data:
-        counts.setdefault(fv, [0, 0])[label is not Label.FLAKY] += 1
     return [
         (tuple(getattr(fv, f) for f in _FEATURES), *pair)
-        for fv, pair in counts.items()
+        for fv, pair in tallies.items()
     ]
 
 
@@ -244,7 +248,13 @@ def train_decision_tree(data: Sequence[Sample]) -> DecisionTreeModel:
     """Train a decision tree; leaves predict the majority label, ties true."""
     if not data:
         raise EmptyDataset("cannot train a decision tree on no samples")
-    return DecisionTreeModel(_grow(_groups(data)))
+    return fit_decision_tree(tally(data))
+
+
+def fit_decision_tree(tallies: dict[FeatureVector, list[int]]) -> DecisionTreeModel:
+    """:func:`train_decision_tree` on the samples that :func:`tally` gave
+    ``tallies``."""
+    return DecisionTreeModel(_grow(_groups(tallies)))
 
 
 # --- naive bayes -----------------------------------------------------------
@@ -298,11 +308,17 @@ class NaiveBayesModel:
 def train_naive_bayes(data: Sequence[Sample]) -> NaiveBayesModel:
     if not data:
         raise EmptyDataset("cannot train naive Bayes on no samples")
+    return fit_naive_bayes(tally(data))
+
+
+def fit_naive_bayes(tallies: dict[FeatureVector, list[int]]) -> NaiveBayesModel:
+    """:func:`train_naive_bayes` on the samples that :func:`tally` gave
+    ``tallies``."""
     class_counts = {Label.FLAKY: 0, Label.TRUE: 0}
     value_counts: dict[str, dict[Label, dict[str, int]]] = {
         feature: {Label.FLAKY: {}, Label.TRUE: {}} for feature in _FEATURES
     }
-    for key, *pair in _groups(data):
+    for key, *pair in _groups(tallies):
         for label, n in zip((Label.FLAKY, Label.TRUE), pair):
             if n:
                 class_counts[label] += n
@@ -323,7 +339,9 @@ TrainedModel = Union[DecisionTreeModel, NaiveBayesModel]
 OVERSAMPLE_THRESHOLD = 0.10
 
 
-def oversample(data: Sequence[Sample], seed: int = 0) -> list[Sample]:
+def oversample(
+    data: Sequence[tuple[_K, Label]], seed: int = 0
+) -> list[tuple[_K, Label]]:
     """Duplicate minority samples until minority/majority reaches
     :data:`OVERSAMPLE_THRESHOLD`.
 

@@ -18,12 +18,12 @@ from typing import Callable, Iterator, Sequence
 from .classifier import (
     FeatureContext,
     FeatureVector,
-    Sample,
     TrainedModel,
     default_cut_prefixes,
+    fit_decision_tree,
+    fit_naive_bayes,
     oversample,
-    train_decision_tree,
-    train_naive_bayes,
+    tally,
 )
 from .errors import InsufficientFlaky, InsufficientTrue
 from .ingest import NormalizedFailure
@@ -392,56 +392,68 @@ def match_trainer(
 
 
 def feature_trainer(
-    fit: Callable[[list[Sample]], TrainedModel],
+    fit: Callable[[dict[FeatureVector, list[int]]], TrainedModel],
     oversampled: bool = False,
     seed: int = 0,
 ) -> Trainer:
     """Strategy of the six-feature classifiers: ``fit`` a model to the
-    training failures' features, with :func:`oversample` under ``seed`` when
-    ``oversampled`` is set, and predict with it.
+    :func:`~flaketriage.classifier.tally` of the training failures' features,
+    with :func:`oversample` under ``seed`` when ``oversampled`` is set, and
+    predict with it.
 
     Features depend only on the normalized failure, the known tests and the
     CUT prefixes, and the prefixes follow from the known tests; so the
     trainer extracts a failure's features at most once per set of known
-    tests it is trained on. In k-fold that is once per failure whenever every
-    fold's training failures span all tests.
+    tests it is trained on, and numbers each distinct vector once. In k-fold
+    that is once per failure whenever every fold's training failures span
+    all tests. A fit tallies the training failures' vector numbers in
+    training order, so oversampling draws as it would from the vectors; a
+    predictor predicts each distinct vector once.
     """
-    # Per set of known tests, its context and the features extracted under
-    # it, by failure identity (hashing a failure by value costs more than the
-    # lookup saves). Each entry keeps its failure alive, so ids stay unique.
-    contexts: dict[
-        frozenset[TestId],
-        tuple[FeatureContext, dict[int, tuple[NormalizedFailure, FeatureVector]]],
-    ] = {}
+    # Per set of known tests: its context, the number of each distinct
+    # vector, and each failure's (failure, number, vector) by the failure's
+    # identity (hashing a failure by value costs more than the lookup saves).
+    # Each entry keeps its failure alive, so ids stay unique.
+    known_sets: dict[frozenset[TestId], tuple[FeatureContext, dict, dict]] = {}
 
     def train(normalized: Sequence[NormalizedFailure]) -> Predictor:
         known = frozenset(nf.base.test for nf in normalized)
-        if known not in contexts:
+        if known not in known_sets:
             context = FeatureContext(KnownTests(known), default_cut_prefixes(known))
-            contexts[known] = (context, {})
-        context, extracted = contexts[known]
+            known_sets[known] = (context, {}, {})
+        context, numbers, extracted = known_sets[known]
 
-        def features(nf: NormalizedFailure) -> FeatureVector:
+        def features(nf: NormalizedFailure) -> tuple[NormalizedFailure, int, FeatureVector]:
             entry = extracted.get(id(nf))
             if entry is None:
-                entry = extracted[id(nf)] = (nf, context.features(nf))
-            return entry[1]
+                fv = context.features(nf)
+                entry = extracted[id(nf)] = (nf, numbers.setdefault(fv, len(numbers)), fv)
+            return entry
 
-        data = [(features(nf), nf.base.label) for nf in normalized]
+        data = [(features(nf)[1], nf.base.label) for nf in normalized]
         if oversampled:
             data = oversample(data, seed)
-        model = fit(data)
-        return lambda nf: model.predict(features(nf))
+        vectors = list(numbers)
+        model = fit({vectors[n]: pair for n, pair in tally(data).items()})
+        predictions: dict[int, Label] = {}
+
+        def predictor(nf: NormalizedFailure) -> Label:
+            _, number, fv = features(nf)
+            if number not in predictions:
+                predictions[number] = model.predict(fv)
+            return predictions[number]
+
+        return predictor
 
     return train
 
 
 def tree_trainer(oversampled: bool = False, seed: int = 0) -> Trainer:
-    return feature_trainer(train_decision_tree, oversampled, seed)
+    return feature_trainer(fit_decision_tree, oversampled, seed)
 
 
 def bayes_trainer(oversampled: bool = False, seed: int = 0) -> Trainer:
-    return feature_trainer(train_naive_bayes, oversampled, seed)
+    return feature_trainer(fit_naive_bayes, oversampled, seed)
 
 
 def tfidf_trainer() -> Trainer:

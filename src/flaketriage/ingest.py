@@ -24,6 +24,7 @@ from .model import (
     StackFrame,
     TestId,
     _prechecked_frame,
+    _prechecked_record,
 )
 
 # One stack-trace line after the leading "at " is removed, e.g.
@@ -94,15 +95,6 @@ def parse_frame(text: str) -> StackFrame:
     and the class loader and module prefix of JDK 9+, such as ``app//`` or
     ``java.base/``, are dropped; ``raw`` is the text without them.
     """
-    return _parse_frame(text, {})
-
-
-def _parse_frame(
-    text: str, locations: dict[str, tuple[str, str, str]]
-) -> StackFrame:
-    """:func:`parse_frame`, reusing the interned (class, method, location)
-    names that ``locations`` holds for a ``CLASS.METHOD`` text, and adding
-    new ones."""
     stripped = text.strip()
     match = _FRAME_RE.match(stripped)
     if match is None:
@@ -110,22 +102,18 @@ def _parse_frame(
         match = _FRAME_RE.match(stripped)
         if match is None:
             raise MalformedFrame(f"frame does not fit the frame grammar: {text!r}")
-    loc, where = match.groups()
-    if "/" in loc and (module := _MODULE_RE.match(loc)) is not None:
-        loc, stripped = loc[module.end():], stripped[module.end():]
-    names = locations.get(loc)
-    if names is None:
-        class_fqn, dot, method = loc.rpartition(".")
-        if not dot:
-            raise MalformedFrame(f"frame has no class.method location: {text!r}")
-        if not class_fqn or not method:
-            raise MalformedFrame(f"frame has an empty class or method: {text!r}")
-        # Few names recur across many frames (a synthetic 13k-failure history
-        # has 197 classes and 53 methods in 23k distinct frames); one object
-        # per name keeps the names that matching reads few and close in
-        # memory.
-        names = locations[loc] = (sys.intern(class_fqn), sys.intern(method), loc)
-    class_fqn, method, location = names
+    location, where = match.groups()
+    if "/" in location and (module := _MODULE_RE.match(location)) is not None:
+        location, stripped = location[module.end():], stripped[module.end():]
+    class_fqn, dot, method = location.rpartition(".")
+    if not dot:
+        raise MalformedFrame(f"frame has no class.method location: {text!r}")
+    if not class_fqn or not method:
+        raise MalformedFrame(f"frame has an empty class or method: {text!r}")
+    # Few names recur across many frames (a synthetic 13k-failure history has
+    # 197 classes and 53 methods in 23k distinct frames); one object per name
+    # keeps the names that matching reads few and close in memory.
+    class_fqn, method = sys.intern(class_fqn), sys.intern(method)
     # The grammar has checked what StackFrame's own checks would: the class
     # has no whitespace, class and method are not empty, and a line is
     # ASCII digits, so not negative. ``stripped`` is ``LOCATION(WHERE)``.
@@ -135,13 +123,54 @@ def _parse_frame(
     if source is None:
         raise MalformedFrame(f"unrecognised source position {where!r} in {text!r}")
     file, digits = source.groups()
-    file, line = sys.intern(file), int(digits)
-    # The text is the rendered one unless the line is zero-padded ("B.java:01").
+    return _prechecked_frame(
+        class_fqn, method, sys.intern(file), int(digits), stripped, location,
+        _rendered(stripped, location, file, digits),
+    )
+
+
+def _rendered(raw: str, location: str, file: str, digits: str) -> str:
+    """A FILE:LINE frame's rendered text: ``raw`` itself unless the line is
+    zero-padded (``B.java:01`` renders as ``B.java:1``)."""
     if digits[0] == "0" and digits != "0":
-        rendered = f"{location}({file}:{line})"
-    else:
-        rendered = stripped
-    return _prechecked_frame(class_fqn, method, file, line, stripped, location, rendered)
+        return f"{location}({file}:{int(digits)})"
+    return raw
+
+
+# What a frame's head gives every text of it: class, method, file, location,
+# and the length of the JDK 9+ prefix that ``raw`` drops.
+_Head = tuple[str, str, str, str, int]
+
+
+def _parse_head_frame(text: str, heads: dict[str, _Head]) -> StackFrame:
+    """:func:`parse_frame` on a stripped ``text``, parsing each head once.
+
+    The head of a ``CLASS.METHOD(FILE:LINE)`` text is the text up to its
+    last ``:``, e.g. ``a.B.m(B.java``. Whether such a text fits the grammar,
+    and its class, method, file and location, follow from its head alone. So
+    the first text of a head goes through :func:`parse_frame`, which names that
+    text in any error, and ``heads`` keeps what it gave for the head's later
+    texts. A text of any other shape is parsed whole.
+    """
+    if text[-1:] != ")":
+        return parse_frame(text)
+    head, colon, digits = text[:-1].rpartition(":")
+    if not (colon and digits.isdigit() and digits.isascii()):
+        return parse_frame(text)
+    known = heads.get(head)
+    if known is None:
+        frame = parse_frame(text)
+        heads[head] = (
+            frame.class_fqn, frame.method, frame.file, frame.location,
+            len(text) - len(frame.raw),
+        )
+        return frame
+    class_fqn, method, file, location, cut = known
+    raw = text[cut:]
+    return _prechecked_frame(
+        class_fqn, method, file, int(digits), raw, location,
+        _rendered(raw, location, file, digits),
+    )
 
 
 def parse_failure_text(
@@ -365,7 +394,7 @@ class _CorpusReader:
         self.corpus = Corpus()
         # Frames and tests recur across failures; equal ones share one object.
         self.frames: dict[str, StackFrame] = {}
-        self.locations: dict[str, tuple[str, str, str]] = {}
+        self.heads: dict[str, _Head] = {}
         self.tests: dict[tuple[str, str], TestId] = {}
         self.error: SchemaError | None = None
         if root.tag != "Corpus":
@@ -403,7 +432,7 @@ class _CorpusReader:
                 group = None if container is self.root else container.get("name")
                 try:
                     record = _read_failure(
-                        entry, group, self.frames, self.locations, self.tests
+                        entry, group, self.frames, self.heads, self.tests
                     )
                 except SchemaError as exc:
                     self.error = type(exc)(f"failure {self.failures}: {exc}")
@@ -457,7 +486,7 @@ def _read_failure(
     elem: ET.Element,
     enclosing_project: str | None,
     parsed_frames: dict[str, StackFrame],
-    locations: dict[str, tuple[str, str, str]],
+    heads: dict[str, _Head],
     parsed_tests: dict[tuple[str, str], TestId],
 ) -> FailureRecord:
     label_attr = elem.get("label", "flaky")
@@ -466,12 +495,11 @@ def _read_failure(
 
     # Each of T, E, M and S at most once, and nothing else; T, E and M hold
     # text only, and no text sits between them.
-    t_elem = elem.find("T")
-    e_elem = elem.find("E")
-    m_elem = elem.find("M")
-    s_elem = elem.find("S")
-    if len(elem) != 4 or None in (t_elem, e_elem, m_elem, s_elem):
+    if len(elem) == 4 and tuple(child.tag for child in elem) == _FAILURE_PARTS:
+        t_elem, e_elem, m_elem, s_elem = elem  # the order the writer uses
+    else:
         _check_parts(elem)
+        t_elem, e_elem, m_elem, s_elem = map(elem.find, _FAILURE_PARTS)
     if not _blank(elem.text):
         raise _stray_text(elem.text, "Failure")
     for child in elem:
@@ -525,7 +553,7 @@ def _read_failure(
         frame = parsed_frames.get(text)
         if frame is None:
             try:
-                frame = parsed_frames[text] = _parse_frame(text, locations)
+                frame = parsed_frames[text] = _parse_head_frame(text, heads)
             except MalformedFrame as exc:
                 raise SchemaError(f"bad <line> element: {exc}") from exc
         frames.append(frame)
@@ -533,12 +561,8 @@ def _read_failure(
         if tail and not (tail.isspace() and tail.isascii()):
             raise _stray_text(tail, "S")
 
-    return FailureRecord(
-        test=test,
-        exception_type=exception_type,
-        message=message,
-        frames=tuple(frames),
-        label=_LABELS[label_attr],
+    return _prechecked_record(
+        test, exception_type, message, tuple(frames), _LABELS[label_attr]
     )
 
 

@@ -208,16 +208,18 @@ class ProjectIndex:
     """A set of normalized failures with the facts derived from them, each once.
 
     Holds the failures, their records and the records' tests as the known
-    tests, and groups the records by match key per mode and scope on first
-    use. A record's key is the plain tuple ``(test, *signature)`` under
-    PER_TEST and ``signature`` under CROSS_TEST, where the known tests'
-    frames are dropped, for the record's :func:`signature`.
+    tests. Per mode and scope, on first use, it groups the records by match
+    key and counts each group's labels. A record's key is the plain tuple
+    ``(test, *signature)`` under PER_TEST and ``signature`` under
+    CROSS_TEST, where the known tests' frames are dropped, for the record's
+    :func:`signature`.
     """
 
     def __init__(self, normalized: Iterable[NormalizedFailure]) -> None:
         self.normalized = tuple(normalized)
         self.records = tuple(nf.base for nf in self.normalized)
         self._groups: dict[tuple[MatchMode, MatchScope], dict[tuple, list[int]]] = {}
+        self._counts: dict[tuple[MatchMode, MatchScope], list[tuple[int, int]]] = {}
 
     @cached_property
     def known(self) -> KnownTests:
@@ -261,12 +263,16 @@ class ProjectIndex:
         return groups
 
     def counts(self, mode: MatchMode, scope: MatchScope) -> list[tuple[int, int]]:
-        """Flaky and true records per group of :meth:`groups`, in its order."""
-        records = self.records
-        counts = []
-        for positions in self.groups(mode, scope).values():
-            flaky = sum(records[i].label is Label.FLAKY for i in positions)
-            counts.append((flaky, len(positions) - flaky))
+        """Flaky and true records per group of :meth:`groups`, in its order;
+        counted once per mode and scope, like the groups."""
+        counts = self._counts.get((mode, scope))
+        if counts is None:
+            records = self.records
+            counts = []
+            for positions in self.groups(mode, scope).values():
+                flaky = sum(records[i].label is Label.FLAKY for i in positions)
+                counts.append((flaky, len(positions) - flaky))
+            self._counts[(mode, scope)] = counts
         return counts
 
     def bases(self, mode: MatchMode, scope: MatchScope) -> list[TriageBasis]:

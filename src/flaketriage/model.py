@@ -225,6 +225,35 @@ class FailureRecord:
             object.__setattr__(self, "frames", tuple(self.frames))
 
 
+_set_test = FailureRecord.test.__set__
+_set_exception_type = FailureRecord.exception_type.__set__
+_set_message = FailureRecord.message.__set__
+_set_frames = FailureRecord.frames.__set__
+_set_label = FailureRecord.label.__set__
+_set_exception_fqn = FailureRecord.exception_fqn.__set__
+
+
+def _prechecked_record(
+    test: TestId,
+    exception_type: str,
+    message: str,
+    frames: tuple[StackFrame, ...],
+    label: Label | None,
+) -> FailureRecord:
+    """``FailureRecord(test, exception_type, message, frames, label)`` set
+    slot by slot, as :func:`_prechecked_frame` builds a frame, for a caller
+    that has checked that ``exception_type`` is not empty and ``frames`` is
+    a tuple."""
+    record = _new_object(FailureRecord)
+    _set_test(record, test)
+    _set_exception_type(record, exception_type)
+    _set_message(record, message)
+    _set_frames(record, frames)
+    _set_label(record, label)
+    _set_exception_fqn(record, "")
+    return record
+
+
 class Corpus:
     """Labeled failure history grouped by project, test, and label bucket.
 

@@ -151,11 +151,20 @@ def oracle_per_test_triage(nf, history, mode):
     return TriageVerdict(predicted, basis, tuple(flaky_hits + true_hits))
 
 
-def oracle_trainer(fit):
+def oracle_trainer(fit, oversampled=False, seed=0, drew=None):
+    """Per fold, fit ``fit`` to freshly extracted features; when
+    ``oversampled``, on the :func:`oversample` of them, noting in ``drew``
+    whether it drew any sample."""
     def train(normalized):
         known = frozenset(nf.base.test for nf in normalized)
         cut = default_cut_prefixes(known)
-        model = fit([(oracle_features(nf, known, cut), nf.base.label) for nf in normalized])
+        data = [(oracle_features(nf, known, cut), nf.base.label) for nf in normalized]
+        if oversampled:
+            balanced = oversample(data, seed)
+            if drew is not None:
+                drew.append(len(balanced) > len(data))
+            data = balanced
+        model = fit(data)
         return lambda nf: model.predict(oracle_features(nf, known, cut))
 
     return train
@@ -615,17 +624,77 @@ def test_per_test_triage_equal_frames_that_are_distinct_objects():
     ids=["tree", "bayes"],
 )
 def test_cv_with_feature_reuse_matches_per_fold_extraction(seed, trainer, fit):
+    # Plain and oversampled. The projects are about balanced, so each is also
+    # cut to k failures of one label, which oversampling then draws from.
     corpus = random_corpus(seed, max_records=250)
-    shared = trainer()  # one trainer across projects, so its memo spans several
-    compared = 0
-    for project in corpus.project_names():
-        flaky, true = evaluation.labeled_failures(corpus, project)
-        if min(len(flaky), len(true)) < 3:
-            continue
-        got = cross_validate_project(flaky, true, 3, shared, seed)
-        assert got == cross_validate_project(flaky, true, 3, oracle_trainer(fit), seed)
-        compared += 1
-    assert compared
+    for oversampled in (False, True):
+        shared = trainer(oversampled, seed)  # one trainer across projects and cuts
+        drew = []
+        oracle = oracle_trainer(fit, oversampled, seed, drew)
+        compared = 0
+        for project in corpus.project_names():
+            flaky, true = evaluation.labeled_failures(corpus, project)
+            if min(len(flaky), len(true)) < 3:
+                continue
+            for cut in ((flaky, true), (flaky[:3], true), (flaky, true[:3])):
+                got = cross_validate_project(*cut, 3, shared, seed)
+                assert got == cross_validate_project(*cut, 3, oracle, seed)
+                compared += 1
+        assert compared and any(drew) == oversampled
+
+
+@pytest.mark.parametrize("oversampled", [False, True], ids=["plain", "oversampled"])
+@pytest.mark.parametrize(
+    "trainer, model",
+    [(tree_trainer, classifier.DecisionTreeModel),
+     (bayes_trainer, classifier.NaiveBayesModel)],
+    ids=["tree", "bayes"],
+)
+def test_cv_extracts_once_per_failure_and_predicts_once_per_vector(
+    monkeypatch, trainer, model, oversampled
+):
+    # Each test has many failures, so every fold's training failures span
+    # all tests and one set of known tests serves every fold.
+    config = GeneratorConfig.from_dict({
+        "seed": 3,
+        "projects": 1,
+        "tests_per_project": {"constant": 6},
+        "flaky_signatures_per_test": {"uniform": [2, 3]},
+        "flaky_occurrences_per_signature": {"geometric": 0.3},
+        "true_failures_per_test": {"uniform": [8, 12]},
+        "exception_pool": [
+            {"name": "UnknownHostException", "weight": 3},
+            {"name": "AssertionError", "weight": 2, "shared_across_labels": True},
+            {"name": "NullPointerException", "weight": 2, "only_label": "true"},
+        ],
+    })
+    flaky, true = evaluation.labeled_failures(generate(config), "proj00")
+    extracted: Counter[int] = Counter()
+    features = classifier.FeatureContext.features
+
+    def counted_features(self, nf):
+        extracted[id(nf)] += 1
+        return features(self, nf)
+
+    predicted: Counter[tuple[int, FeatureVector]] = Counter()
+    models = []  # kept alive, so that their ids stay distinct
+    predict = model.predict
+
+    def counted_predict(self, fv):
+        models.append(self)
+        predicted[id(self), fv] += 1
+        return predict(self, fv)
+
+    monkeypatch.setattr(classifier.FeatureContext, "features", counted_features)
+    monkeypatch.setattr(model, "predict", counted_predict)
+    k = 5
+    cross_validate_project(flaky, true, k, trainer(oversampled, 1), 1)
+    failures = len(flaky) + len(true)
+    assert len(extracted) == failures and set(extracted.values()) == {1}
+    assert len({id(m) for m in models}) == k
+    assert set(predicted.values()) == {1}
+    # Held-out failures share vectors, so fewer predictions than failures.
+    assert len(predicted) < failures
 
 
 # --- classifier fit on distinct feature vectors ------------------------------

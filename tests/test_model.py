@@ -17,6 +17,7 @@ from flaketriage.model import (
     Label,
     StackFrame,
     TestId,
+    _prechecked_record,
 )
 
 from conftest import frame, record
@@ -82,6 +83,18 @@ def test_record_coerces_frame_list_to_tuple():
         frames=[frame("a.B", "c", "B.java", 1)],  # type: ignore[arg-type]
     )
     assert isinstance(r.frames, tuple)
+
+
+def test_prechecked_record_equals_the_checked_one():
+    test = TestId("p", "a.T", "m")
+    frames = (frame("a.Lib", "go", "Lib.java", 2),)
+    for label in (Label.FLAKY, Label.TRUE, None):
+        built = _prechecked_record(test, "E", "boom", frames, label)
+        checked = FailureRecord(test, "E", "boom", frames, label)
+        assert built == checked and hash(built) == hash(checked)
+        assert repr(built) == repr(checked) and built.exception_fqn == ""
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.label = Label.TRUE
 
 
 def test_corpus_rejects_unlabeled_records():

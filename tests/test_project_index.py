@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 
 from conftest import frame, random_corpus, record
 from test_index_oracles import oracle_triage, with_padded_lines
@@ -63,10 +63,27 @@ def count_builds(monkeypatch) -> list[int]:
     return builds
 
 
+def count_label_counts(monkeypatch) -> dict[tuple, list[int]]:
+    """Per (index, mode, scope), the id of each list ``counts`` returns."""
+    results: dict[tuple, list[int]] = defaultdict(list)
+    counts = ProjectIndex.counts
+    indexes = []  # kept alive, so that their ids stay distinct
+
+    def recorded(self, mode, scope):
+        indexes.append(self)
+        got = counts(self, mode, scope)
+        results[id(self), mode, scope].append(id(got))
+        return got
+
+    monkeypatch.setattr(ProjectIndex, "counts", recorded)
+    return results
+
+
 def test_reports_on_one_corpus_build_one_index_per_project(monkeypatch):
     corpus = random_corpus(6, max_records=200)
     expected = reports(copy_of(corpus))
     builds = count_builds(monkeypatch)
+    label_counts = count_label_counts(monkeypatch)
     for _ in range(2):
         assert reports(corpus) == expected
     for query in list(corpus.records())[::10]:
@@ -75,6 +92,11 @@ def test_reports_on_one_corpus_build_one_index_per_project(monkeypatch):
     projects = corpus.project_names()
     assert len(projects) > 1
     assert builds == [corpus.count(p) for p in projects]
+    # Each index counts the labels of its groups once per mode and scope,
+    # however many reports read them.
+    assert len(label_counts) == len(projects) * len(MatchMode) * len(MatchScope)
+    assert all(len(set(ids)) == 1 for ids in label_counts.values())
+    assert max(map(len, label_counts.values())) > 2
 
 
 def test_add_drops_the_index(monkeypatch):
