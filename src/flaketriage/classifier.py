@@ -12,7 +12,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence, TypeVar, Union
+from typing import Hashable, Iterable, NamedTuple, Sequence, TypeVar, Union
 
 from .errors import EmptyDataset
 from .ingest import NormalizedFailure
@@ -23,23 +23,16 @@ FRAMEWORK_PREFIXES = ("org.junit.", "junit.")
 # The additive smoothing of naive Bayes likelihoods (Laplace).
 SMOOTHING = 1.0
 
-# Field order doubles as the split tie-breaking order in the decision tree.
-_FEATURES = (
-    "exception_type",
-    "test_name_in_trace",
-    "test_class_in_trace",
-    "other_tests_in_trace",
-    "junit_in_trace",
-    "cut_in_trace",
-)
-
 Sample = tuple["FeatureVector", Label]
 _K = TypeVar("_K", bound=Hashable)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """The six log features of one failure."""
+class FeatureVector(NamedTuple):
+    """The six log features of one failure.
+
+    A vector equals and hashes as the plain tuple of its values, so models
+    key on it as it stands.
+    """
 
     exception_type: str
     test_name_in_trace: bool
@@ -47,6 +40,10 @@ class FeatureVector:
     other_tests_in_trace: bool
     junit_in_trace: bool
     cut_in_trace: bool
+
+
+# Field order doubles as the split tie-breaking order in the decision tree.
+_FEATURES = FeatureVector._fields
 
 
 def default_cut_prefixes(tests: Iterable[TestId]) -> frozenset[str]:
@@ -169,35 +166,26 @@ def tally(data: Iterable[tuple[_K, Label]]) -> dict[_K, list[int]]:
     return counts
 
 
-def _groups(tallies: dict[FeatureVector, list[int]]) -> list[tuple[tuple, int, int]]:
-    """Per distinct feature vector: its values in _FEATURES order, and its
-    numbers of flaky and true samples."""
-    return [
-        (tuple(getattr(fv, f) for f in _FEATURES), *pair)
-        for fv, pair in tallies.items()
-    ]
-
-
-def _grow(groups: list[tuple[tuple, int, int]]) -> _Split | _Leaf:
-    n_flaky = sum(g[1] for g in groups)
-    n_true = sum(g[2] for g in groups)
+def _grow(tallies: dict[FeatureVector, list[int]]) -> _Split | _Leaf:
+    n_flaky = sum(f for f, _ in tallies.values())
+    n_true = sum(t for _, t in tallies.values())
     leaf = _Leaf(Label.FLAKY if n_flaky > n_true else Label.TRUE, n_flaky, n_true)
     if n_flaky == 0 or n_true == 0:
         return leaf
 
     parent = _gini(n_flaky, n_true)
     n = n_flaky + n_true
-    # A candidate sends the groups whose value at `position` equals `value`
+    # A candidate sends the vectors whose value at `position` equals `value`
     # to the match branch: exception values in lexicographic order first,
     # then the boolean features in field order. Strict > keeps the earliest
     # candidate on ties; one that leaves a side without samples is skipped.
-    candidates = [(0, value) for value in sorted({key[0] for key, _, _ in groups})]
+    candidates = [(0, value) for value in sorted({fv[0] for fv in tallies})]
     candidates += [(position, True) for position in range(1, len(_FEATURES))]
     best: tuple[int, object] | None = None
     best_gain = -1.0
     for position, value in candidates:
-        m_flaky = sum(f for key, f, _ in groups if key[position] == value)
-        m_true = sum(t for key, _, t in groups if key[position] == value)
+        m_flaky = sum(f for fv, (f, _) in tallies.items() if fv[position] == value)
+        m_true = sum(t for fv, (_, t) in tallies.items() if fv[position] == value)
         m = m_flaky + m_true
         if m == 0 or m == n:
             continue
@@ -212,8 +200,8 @@ def _grow(groups: list[tuple[tuple, int, int]]) -> _Split | _Leaf:
     if best is None:
         return leaf  # all vectors identical
     position, value = best
-    match = [g for g in groups if g[0][position] == value]
-    other = [g for g in groups if g[0][position] != value]
+    match = {fv: pair for fv, pair in tallies.items() if fv[position] == value}
+    other = {fv: pair for fv, pair in tallies.items() if fv[position] != value}
     return _Split(
         _FEATURES[position],
         value if position == 0 else None,
@@ -248,13 +236,7 @@ def train_decision_tree(data: Sequence[Sample]) -> DecisionTreeModel:
     """Train a decision tree; leaves predict the majority label, ties true."""
     if not data:
         raise EmptyDataset("cannot train a decision tree on no samples")
-    return fit_decision_tree(tally(data))
-
-
-def fit_decision_tree(tallies: dict[FeatureVector, list[int]]) -> DecisionTreeModel:
-    """:func:`train_decision_tree` on the samples that :func:`tally` gave
-    ``tallies``."""
-    return DecisionTreeModel(_grow(_groups(tallies)))
+    return DecisionTreeModel(_grow(tally(data)))
 
 
 # --- naive bayes -----------------------------------------------------------
@@ -308,21 +290,15 @@ class NaiveBayesModel:
 def train_naive_bayes(data: Sequence[Sample]) -> NaiveBayesModel:
     if not data:
         raise EmptyDataset("cannot train naive Bayes on no samples")
-    return fit_naive_bayes(tally(data))
-
-
-def fit_naive_bayes(tallies: dict[FeatureVector, list[int]]) -> NaiveBayesModel:
-    """:func:`train_naive_bayes` on the samples that :func:`tally` gave
-    ``tallies``."""
     class_counts = {Label.FLAKY: 0, Label.TRUE: 0}
     value_counts: dict[str, dict[Label, dict[str, int]]] = {
         feature: {Label.FLAKY: {}, Label.TRUE: {}} for feature in _FEATURES
     }
-    for key, *pair in _groups(tallies):
+    for fv, pair in tally(data).items():
         for label, n in zip((Label.FLAKY, Label.TRUE), pair):
             if n:
                 class_counts[label] += n
-                for feature, value in zip(_FEATURES, map(str, key)):
+                for feature, value in zip(_FEATURES, map(str, fv)):
                     counts = value_counts[feature][label]
                     counts[value] = counts.get(value, 0) + n
     categories = {

@@ -123,10 +123,17 @@ def parse_frame(text: str) -> StackFrame:
     if source is None:
         raise MalformedFrame(f"unrecognised source position {where!r} in {text!r}")
     file, digits = source.groups()
-    return _prechecked_frame(
-        class_fqn, method, sys.intern(file), int(digits), stripped, location,
-        _rendered(stripped, location, file, digits),
-    )
+    try:
+        return _prechecked_frame(
+            class_fqn, method, sys.intern(file), int(digits), stripped, location,
+            _rendered(stripped, location, file, digits),
+        )
+    except ValueError:  # int() takes at most sys.get_int_max_str_digits()
+        raise _huge_line(text) from None
+
+
+def _huge_line(text: str) -> MalformedFrame:
+    return MalformedFrame(f"frame line number has too many digits: {text!r}")
 
 
 def _rendered(raw: str, location: str, file: str, digits: str) -> str:
@@ -167,10 +174,13 @@ def _parse_head_frame(text: str, heads: dict[str, _Head]) -> StackFrame:
         return frame
     class_fqn, method, file, location, cut = known
     raw = text[cut:]
-    return _prechecked_frame(
-        class_fqn, method, file, int(digits), raw, location,
-        _rendered(raw, location, file, digits),
-    )
+    try:
+        return _prechecked_frame(
+            class_fqn, method, file, int(digits), raw, location,
+            _rendered(raw, location, file, digits),
+        )
+    except ValueError:
+        raise _huge_line(text) from None
 
 
 def parse_failure_text(

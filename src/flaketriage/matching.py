@@ -153,13 +153,14 @@ def triage(
     flaky records, then the matching true ones, each in history order.
 
     A record matches when its :func:`signature` equals the failure's; the
-    walks compare the exception type first, then the frame keys with ``==``.
+    per-test walk compares the exception type first, then the frame keys
+    with ``==``.
     """
-    # A match needs equal exception types, so a record of another type is
-    # never normalized or keyed; under EXCEPTION_ONLY the type alone decides.
     test, exception = nf.base.test, nf.base.exception_type
     hits: dict[Label, list[str]] = {Label.FLAKY: [], Label.TRUE: []}
     if scope is MatchScope.PER_TEST:
+        # A match needs equal exception types, so a record of another type is
+        # never normalized or keyed; under EXCEPTION_ONLY the type alone decides.
         target = _frame_keys(nf, mode, None)
         # With the test and exception fixed, the frames alone decide, and
         # copies of a recurring failure share frame objects, so each sequence
@@ -184,16 +185,11 @@ def triage(
         if test in index.known.tests:
             positions = index.groups(mode, scope).get(index.key(nf, mode, scope), ())
         else:
-            # The query's own test is a known test too; key the project's
-            # failures against the widened set, without keeping the keys.
-            known = KnownTests([*index.known.tests, test])
-            target = _frame_keys(nf, mode, known)
-            positions = [
-                i
-                for i, other in enumerate(index.normalized)
-                if other.base.exception_type == exception
-                and _frame_keys(other, mode, known) == target
-            ]
+            # The query's own test is a known test too: group the project's
+            # failures and the query in a throwaway index, whose positions
+            # are the project index's, and drop the query's own, the last.
+            widened = ProjectIndex((*index.normalized, nf))
+            positions = widened.groups(mode, scope)[widened.key(nf, mode, scope)][:-1]
         for i in positions:
             hits[index.records[i].label].append(index.ids[i])
 

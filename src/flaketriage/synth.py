@@ -268,13 +268,17 @@ def _exception_spec(entry) -> ExceptionSpec:
             "exception_pool shared_across_labels",
             "boolean",
         ),
-        only_label=Label(entry["only_label"]) if "only_label" in entry else None,
+        only_label=(
+            Label(_json_value(entry["only_label"], "exception_pool only_label", "label"))
+            if "only_label" in entry
+            else None
+        ),
     )
 
 
 # JSON true and false load as bool, a subclass of int, so "integer" and
 # "number" exclude them; Python's json also loads NaN and Infinity, which no
-# count, weight or probability may be.
+# count, weight or probability may be. A "label" is the value of a Label.
 _JSON_TYPES = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, (list, tuple)),
@@ -285,6 +289,7 @@ _JSON_TYPES = {
         isinstance(v, int) and not isinstance(v, bool)
         or isinstance(v, float) and math.isfinite(v)
     ),
+    "label": lambda v: v in ("flaky", "true"),
 }
 
 
@@ -298,9 +303,8 @@ def _known_keys(data: dict, cls, name: str) -> None:
 def _json_value(value, name: str, kind: str):
     """``value`` if it is a JSON value of ``kind``; InvalidConfig otherwise."""
     if not _JSON_TYPES[kind](value):
-        raise InvalidConfig(
-            f"{name} must be a JSON {kind}, got {json.dumps(value, default=repr)}"
-        )
+        what = '"flaky" or "true"' if kind == "label" else f"a JSON {kind}"
+        raise InvalidConfig(f"{name} must be {what}, got {json.dumps(value, default=repr)}")
     return value
 
 

@@ -37,6 +37,22 @@ def fv(exception="E", **flags):
     return FeatureVector(exception, **defaults)
 
 
+def test_feature_vector_is_the_plain_tuple_of_its_values():
+    assert FeatureVector._fields == (
+        "exception_type",
+        "test_name_in_trace",
+        "test_class_in_trace",
+        "other_tests_in_trace",
+        "junit_in_trace",
+        "cut_in_trace",
+    )
+    vector = fv("E", test_class_in_trace=True, cut_in_trace=True)
+    plain = ("E", False, True, False, False, True)
+    assert vector == plain and hash(vector) == hash(plain)
+    assert {plain: "seen"}[vector] == "seen"
+    assert tuple(getattr(vector, name) for name in FeatureVector._fields) == plain
+
+
 # --- feature extraction -------------------------------------------------------
 
 

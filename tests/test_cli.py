@@ -178,6 +178,34 @@ def test_schema_error_exit_code(tmp_path, capsys):
     assert "Corpus" in err
 
 
+def test_a_line_number_too_long_for_int_is_malformed_not_a_crash(workdir, capsys):
+    huge = "1" * 5000
+    corpus = workdir / "huge.xml"
+    corpus.write_text(
+        '<Corpus><Failure><T project="p">a.T.m</T><E>E</E><M/>'
+        f"<S><line>a.B.m(B.java:{huge})</line></S></Failure></Corpus>"
+    )
+    code, _, err = run(capsys, "corpus-stats", "--corpus", corpus)
+    assert code == EXIT_DATA and "too many digits" in err
+    log = workdir / "huge.log"
+    log.write_text(alluxio_raw_log(ALLUXIO_MESSAGE_2) + f"\tat a.B.m(B.java:{huge})\n")
+    test = ("--test", "tachyon.JournalTest.TableTest")
+    for argv in (
+        ("parse", "--in", log, *test, "--project", "alluxio"),
+        ("classify", "--corpus", workdir / "corpus.xml", "--failure", log, *test,
+         "--method", "match"),
+        ("classify", "--corpus", corpus, "--failure", log, "--test", "a.T.m",
+         "--method", "match"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert "Traceback" not in err
+        if corpus in argv:
+            assert code == EXIT_DATA and "too many digits" in err
+        else:
+            assert code in (EXIT_OK, EXIT_TRUE_FAILURE)
+            assert err.startswith("warning: frame line number has too many digits")
+
+
 def test_missing_file_is_data_error(tmp_path, capsys):
     code, _, err = run(capsys, "corpus-stats", "--corpus", tmp_path / "nope.xml")
     assert code == EXIT_DATA

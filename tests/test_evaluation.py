@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from flaketriage.errors import InsufficientFlaky, InsufficientTrue
+from flaketriage.errors import EmptyDataset, InsufficientFlaky, InsufficientTrue
 from flaketriage.evaluation import (
     ConfusionMatrix,
     CorpusCvResult,
@@ -405,6 +405,12 @@ def test_oversampled_trainers_stay_deterministic():
         b = stratified_cv(corpus, 3, trainer(True, 4), seed=4)
         assert len(a.per_project) == 2
         assert a.per_project == b.per_project
+
+
+@pytest.mark.parametrize("trainer", [tree_trainer, bayes_trainer], ids=["tree", "bayes"])
+def test_feature_trainers_reject_no_training_failures(trainer):
+    with pytest.raises(EmptyDataset):
+        trainer()([])
 
 
 def test_corpus_cv_result_aggregate():

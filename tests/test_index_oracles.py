@@ -235,7 +235,7 @@ def test_features_and_cross_test_signatures_match_the_oracles(seed):
 
 
 def test_oracles_cover_each_feature_both_ways():
-    seen = {name: set() for name in FeatureVector.__dataclass_fields__}
+    seen = {name: set() for name in FeatureVector._fields}
     for seed in SEEDS:
         corpus = random_corpus(seed, max_records=120)
         framework = with_framework_frames(corpus)

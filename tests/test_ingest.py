@@ -123,6 +123,31 @@ def test_parse_skips_malformed_frames_with_diagnostics():
     assert all("unrecognised source position" in d for d in diagnostics[1:])
 
 
+# Python's int() reads at most 4,300 digits, so such a line number is
+# malformed, not a crash: padded or not, first or later text of its head.
+HUGE_LINES = ["1" * 5000, "0" * 5000 + "1"]
+
+
+@pytest.mark.parametrize("digits", HUGE_LINES, ids=["long", "zero-padded"])
+def test_parse_skips_a_frame_whose_line_number_is_too_long(digits):
+    raw = f"E: boom\n at a.B.c(B.java:7)\n at a.B.d(B.java:{digits})\n"
+    diagnostics = []
+    with pytest.raises(MalformedFrame, match="too many digits"):
+        parse_frame(f"a.B.d(B.java:{digits})")
+    rec = parse_failure_text(raw, TestId("p", "A", "m"), diagnostics)
+    assert [f.method for f in rec.frames] == ["c"]
+    assert len(diagnostics) == 1 and "too many digits" in diagnostics[0]
+
+
+@pytest.mark.parametrize("digits", HUGE_LINES, ids=["long", "zero-padded"])
+@pytest.mark.parametrize("earlier", [(), ("7",)], ids=["first-text", "known-head"])
+def test_read_rejects_a_line_number_that_is_too_long(digits, earlier):
+    lines = "".join(f"<line>a.B.d(B.java:{n})</line>" for n in (*earlier, digits))
+    doc = f'<Corpus><Failure><T project="p">a.T.m</T><E>E</E><M/><S>{lines}</S></Failure></Corpus>'
+    with pytest.raises(SchemaError, match="bad <line> element: frame line number has too many"):
+        read_corpus_xml(doc)
+
+
 def test_parse_stops_at_caused_by():
     raw = (
         "E: outer\n"

@@ -289,6 +289,19 @@ def config_json(**overrides) -> bytes:
             "volatile_message_tokens must be a JSON boolean",
             id="volatile-string",
         ),
+        *(
+            pytest.param(
+                config_json(exception_pool=[{"name": "E", "weight": 1, "only_label": value}]),
+                f'exception_pool only_label must be "flaky" or "true", got {shown}',
+                id=f"only-label-{name}",
+            )
+            for name, value, shown in (
+                ("bogus", "bogus", '"bogus"'),
+                ("number", 5, "5"),
+                ("null", None, "null"),
+                ("list", ["flaky"], '["flaky"]'),
+            )
+        ),
         pytest.param(
             b'{"seed": 7, "note": "caf\xe9"}',
             "not UTF-8: byte 0xe9 at offset 24",
