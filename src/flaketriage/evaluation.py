@@ -36,7 +36,7 @@ from .matching import (
     project_index,
 )
 from .model import Corpus, FailureRecord, KnownTests, Label, TestId
-from .tfidf import TfidfIndex
+from .tfidf import TfidfIndex, tokenize
 
 MIN_FLAKY_FOR_CV = 10
 DEFAULT_FOLDS = 5
@@ -454,13 +454,23 @@ def tfidf_trainer() -> Trainer:
     :func:`~flaketriage.tfidf.classify_nn` gives against the training failures.
 
     Each fold's :class:`TfidfIndex` is built straight from its failures, under
-    the record ids a corpus of them would give (:attr:`ProjectIndex.ids`).
+    the record ids a corpus of them would give (:attr:`ProjectIndex.ids`). A
+    predictor answers each distinct token document once, since a query's
+    tokens alone decide its verdict.
     """
 
     def train(normalized: Sequence[NormalizedFailure]) -> Predictor:
         fold = ProjectIndex(normalized)
         index = TfidfIndex(zip(fold.ids, fold.records))
-        return lambda nf: index.classify(nf.base).predicted
+        predictions: dict[tuple[str, ...], Label] = {}
+
+        def predictor(nf: NormalizedFailure) -> Label:
+            document = tokenize(nf.base, "query")
+            if document.tokens not in predictions:
+                predictions[document.tokens] = index.classify_document(document).predicted
+            return predictions[document.tokens]
+
+        return predictor
 
     return train
 

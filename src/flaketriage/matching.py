@@ -153,8 +153,8 @@ def triage(
     flaky records, then the matching true ones, each in history order.
 
     A record matches when its :func:`signature` equals the failure's; the
-    per-test walk compares the exception type first, then the frame keys
-    with ``==``.
+    per-test walk, and the cross-test walk for a test the project does not
+    know, compare the exception type first, then the frame keys with ``==``.
     """
     test, exception = nf.base.test, nf.base.exception_type
     hits: dict[Label, list[str]] = {Label.FLAKY: [], Label.TRUE: []}
@@ -185,11 +185,16 @@ def triage(
         if test in index.known.tests:
             positions = index.groups(mode, scope).get(index.key(nf, mode, scope), ())
         else:
-            # The query's own test is a known test too: group the project's
-            # failures and the query in a throwaway index, whose positions
-            # are the project index's, and drop the query's own, the last.
-            widened = ProjectIndex((*index.normalized, nf))
-            positions = widened.groups(mode, scope)[widened.key(nf, mode, scope)][:-1]
+            # The query's own test is a known test too, so the project's keys
+            # do not hold: key against the widened tests only the failures of
+            # the query's exception type, the only ones that can match.
+            known = KnownTests((*index.known.tests, test))
+            target = _frame_keys(nf, mode, known)
+            positions = [
+                i for i, record in enumerate(index.records)
+                if record.exception_type == exception
+                and _frame_keys(index.normalized[i], mode, known) == target
+            ]
         for i in positions:
             hits[index.records[i].label].append(index.ids[i])
 

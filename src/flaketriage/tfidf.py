@@ -196,13 +196,17 @@ class TfidfIndex:
     contribution first, while the peak contributions of the terms left can
     still reach a threshold at most the best cosine: 1 if a document has the
     query's tokens, and raised to the lower bounds of the documents walked.
-    It completes the bounds of the documents walked from the terms left,
-    after each term raising the threshold and dropping the documents that
-    cannot reach it, and scores exactly, in descending bound, only the
-    documents whose bound can reach the best score so far. An exact score is
-    :func:`cosine` of the query's and the document's :func:`_weights`
-    vectors, the float the unindexed computation gives, so ties are exact
-    float equality.
+    By Cauchy-Schwarz a document without a query term of weight ``w`` has
+    cosine at most ``sqrt(|q|² - w²) / |q|``; at a threshold of 1 a term
+    whose bound is below it is required, and the walk starts from the
+    fewest postings of a required term, with nothing to walk before
+    completion. It completes the bounds of the documents walked from the
+    terms left, after each term raising the threshold and dropping the
+    documents that cannot reach it, until one is left, and scores exactly,
+    in descending bound, only the documents whose bound can reach the best
+    score so far. An exact score is :func:`cosine` of the query's and the
+    document's :func:`_weights` vectors, the float the unindexed computation
+    gives, so ties are exact float equality.
     """
 
     def __init__(
@@ -286,6 +290,23 @@ class TfidfIndex:
         """``(bound, position)``, highest bound first, of the documents whose
         upper bound on their cosine with ``weights`` reaches a threshold at
         most the best cosine; every other document's cosine is below it."""
+        squared = sum(weights[t] * weights[t] for t in sorted(weights))
+        query_norm = math.sqrt(squared)
+        # threshold is at most the best cosine, up to rounding: a document
+        # with the query's tokens has the query's vector, so its cosine is 1.
+        # Every sum here rounds differently from cosine's sorted sum()
+        # (compensated from Python 3.12), by under terms * 2**-53 relatively
+        # as every addend is >= 0, so each upper bound compared with the
+        # threshold or the best score is widened by _MARGIN.
+        threshold = 1.0 if tokens in self.positions else 0.0
+        widen = (1.0 + _MARGIN) / query_norm
+        # Once no other can, the documents that may reach threshold. By
+        # Cauchy-Schwarz a document without a term of weight w has cosine at
+        # most sqrt(|q|² - w²) / |q|; a term whose bound is below threshold is
+        # required, and the walk starts from the fewest postings of one. The
+        # subtraction rounds by under 2**-52 · |q|², far inside the margin
+        # wherever the bound is near the threshold. A postings list is only read.
+        alive = None
         # A term's scale w·idf is >= 0 (below base 1 both factors are < 0),
         # so each term adds scale·share >= 0 to a document's dot product over
         # its plus-one norm, and at most its peak contribution scale·peak.
@@ -295,26 +316,23 @@ class TfidfIndex:
             if postings is not None and weight:
                 scale = weight * postings.idf
                 terms.append((scale * postings.peak, scale, postings))
+                if (threshold and math.sqrt(squared - weight * weight) * widen < threshold
+                        and (alive is None or len(postings.documents) < len(alive))):
+                    alive = postings.documents
         terms.sort(key=itemgetter(0), reverse=True)
         # reach[i]: what the terms from i on can add to any dot product,
         # summed from the end so that no subtraction rounds it low.
         reach = [0.0] * (len(terms) + 1)
         for i in range(len(terms) - 1, -1, -1):
             reach[i] = terms[i][0] + reach[i + 1]
-        query_norm = math.sqrt(sum(weights[t] * weights[t] for t in sorted(weights)))
-        # threshold is at most the best cosine, up to rounding: a document
-        # with the query's tokens has the query's vector, so its cosine is 1.
-        # Every sum here rounds differently from cosine's sorted sum()
-        # (compensated from Python 3.12), by under terms * 2**-53 relatively
-        # as every addend is >= 0, so each upper bound compared with the
-        # threshold or the best score is widened by _MARGIN.
-        threshold = 1.0 if tokens in self.positions else 0.0
-        widen = (1.0 + _MARGIN) / query_norm
 
         dots = [0.0] * len(self.documents)  # each document's dot product so far
         ceiling = 0.0  # at least the largest of them
-        alive = None  # once no other can, the documents that may reach threshold
         for i, (limit, scale, postings) in enumerate(terms):
+            if alive is not None and len(alive) == 1:
+                # A lone document is scored whatever its bound, so its bound
+                # is left at its dot product so far plus what the rest can add.
+                return [((dots[alive[0]] + reach[i]) * widen, alive[0])]
             documents, shares = postings.documents, postings.shares
             if alive is None:
                 if threshold <= reach[i] * widen <= ceiling / query_norm:
@@ -363,7 +381,10 @@ class TfidfIndex:
 
     def classify(self, query: FailureRecord) -> TriageVerdict:
         """The verdict :func:`classify_nn` gives ``query`` against this history."""
-        document = tokenize(query, "query")
+        return self.classify_document(tokenize(query, "query"))
+
+    def classify_document(self, document: TokenDocument) -> TriageVerdict:
+        """The verdict on a query of ``document``'s tokens: they alone decide it."""
         weights = self._query_weights(document)
         if all(weight == 0.0 for weight in weights.values()):
             return TriageVerdict.of(0, 0)

@@ -14,7 +14,7 @@ from collections import Counter, defaultdict
 
 from conftest import frame, random_corpus, record
 from test_index_oracles import oracle_triage, with_padded_lines
-from flaketriage import ingest
+from flaketriage import ingest, matching
 from flaketriage.classifier import FeatureContext, default_cut_prefixes
 from flaketriage.evaluation import (
     distinct_signature_counts,
@@ -147,6 +147,44 @@ def test_stranger_test_is_a_known_test_of_its_own_query():
     assert got.basis is TriageBasis.MATCHED_BOTH
     assert got.evidence == ("p/a.C.other/flaky[0]", "p/a.C.other/true[0]")
     assert project_index(corpus, "p") is index and index._groups == memo
+
+
+def test_stranger_test_keys_only_the_failures_of_its_exception_type(monkeypatch):
+    # A stranger's key needs the widened known tests, so the project's keys
+    # do not serve it; only a failure of its exception type can match, so
+    # only those and the query itself are keyed.
+    keyed, compared, total = [], 0, 0
+    frame_keys = matching._frame_keys
+
+    def counted(nf, mode, known):
+        keyed.append(nf)
+        return frame_keys(nf, mode, known)
+
+    for seed in range(0, 40, 4):
+        corpus = random_corpus(seed, max_records=120)
+        # "com.pN.Lib0.op" starts frames of the history: they drop out of the key.
+        strangers = [
+            normalize(dataclasses.replace(r, test=TestId(p, f"com.{p}.{name}", "op")))
+            for r in list(corpus.records())[::5]
+            for p in [r.test.project]
+            for name in ("New", "Lib0")
+        ]
+        for project in corpus.project_names():
+            project_index(corpus, project).known  # built before counting
+        for stranger in strangers:
+            project = stranger.base.test.project
+            monkeypatch.setattr(matching, "_frame_keys", counted)
+            keyed.clear()
+            got = triage(stranger, corpus, MatchMode.FULL, MatchScope.CROSS_TEST)
+            monkeypatch.setattr(matching, "_frame_keys", frame_keys)
+            same_type = sum(
+                r.exception_type == stranger.base.exception_type for r in corpus.records(project)
+            )
+            assert len(keyed) <= same_type + 1
+            assert got == oracle_triage(stranger, corpus, MatchMode.FULL, MatchScope.CROSS_TEST)
+            compared += len(keyed)
+            total += corpus.count(project) + 1
+    assert compared < total / 2, (compared, total)
 
 
 def test_query_of_an_unknown_project_builds_no_index(monkeypatch):

@@ -16,14 +16,21 @@ tree, and oversampled bayes. The corpus is small and generated, and its true
 failures are under 10% of its flaky ones in every training fold, so
 ``--oversample`` adds copies.
 """
+import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flaketriage
 from flaketriage.cli import main
 from flaketriage.ingest import read_corpus_xml
 from flaketriage.model import Label
+from flaketriage.tfidf import tokenize
 
 GENERATOR_CONFIG = {
     "seed": 11,
@@ -210,3 +217,48 @@ def test_report_files_are_pinned(inputs, tmp_path, capsys, name):
     capsys.readouterr()
     assert code == 0
     assert directory_digest(reports) == want, sorted(p.name for p in reports.iterdir())
+
+
+# Runs each CLI call whose argv is in the JSON list of its first argument,
+# printing each exit code after the call's stdout.
+CLI_CALLS = """\
+import json, sys
+from flaketriage.cli import main
+for argv in json.loads(sys.argv[1]):
+    print(f"exit {main(argv)}", flush=True)
+"""
+
+
+def test_stdout_does_not_depend_on_the_hash_seed(inputs, tmp_path):
+    # String hashes, and so the order of sets of strings, change with
+    # PYTHONHASHSEED; no report may follow that order. flaky.log duplicates
+    # a history failure; near.log, its trace less one frame, duplicates none.
+    corpus = read_corpus_xml(inputs / "corpus.xml")
+    flaky = list(corpus.records("proj00", Label.FLAKY))[-1]
+    near = dataclasses.replace(flaky, frames=flaky.frames[1:])
+    documents = {tokenize(r).tokens for r in corpus.records("proj00")}
+    assert tokenize(flaky).tokens in documents
+    assert tokenize(near).tokens not in documents
+    write_log(tmp_path / "near.log", near)
+    corpus_xml = str(inputs / "corpus.xml")
+    calls = [
+        ["classify", "--corpus", corpus_xml, "--method", "tfidf",
+         "--failure", str(log), "--test", QUERY_TEST]
+        for log in (inputs / "flaky.log", tmp_path / "near.log")
+    ]
+    calls += [
+        ["evaluate", "--corpus", corpus_xml, "--method", "tfidf"],
+        ["evaluate", "--corpus", corpus_xml, "--method", "match", "--scope", "cross-test"],
+    ]
+    src = Path(flaketriage.__file__).resolve().parents[1]
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+        done = subprocess.run(
+            [sys.executable, "-c", CLI_CALLS, json.dumps(calls)],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0].count(b"\nexit ") == len(calls)
+    assert outputs[0] == outputs[1]

@@ -463,6 +463,27 @@ def _token_history(*entries: tuple[str, str, Label]) -> Corpus:
     return history
 
 
+@pytest.mark.parametrize("log_base", [None, 2, 0.5])
+def test_exact_duplicates_in_two_token_orders_tie_and_one_more_count_loses(log_base):
+    # m1 and m2 hold the query's tokens in two orders: two documents of one
+    # vector, both at the top. m3 holds the same terms with one more "c", so
+    # it passes every required term's test and must lose when scored.
+    history = _token_history(
+        ("m1", "a.b.c.b", Label.FLAKY),
+        ("m2", "b.c.b.a", Label.TRUE),
+        ("m3", "a.b.c.b.c", Label.FLAKY),
+        ("m4", "a.x", Label.TRUE),
+        ("m5", "c.y.y", Label.FLAKY),
+        ("m6", "z", Label.TRUE),
+    )
+    verdict = assert_agrees(record(TEST, "a.b.c.b"), history, log_base)
+    assert verdict == TriageVerdict(
+        Label.TRUE,
+        TriageBasis.MATCHED_BOTH,
+        ("p/a.T.m1/flaky[0]", "p/a.T.m2/true[0]"),
+    )
+
+
 def test_distinct_documents_tied_at_the_top_are_both_scored(monkeypatch):
     # Different terms, equal weights: the two similarities are one float.
     scored = scored_positions(monkeypatch)
@@ -695,18 +716,24 @@ def test_walk_skips_postings_on_a_gate_nn_shaped_history(seed, monkeypatch):
     monkeypatch.setattr(
         tfidf, "bisect_left", lambda a, x: lookups.append(x) or bisect.bisect_left(a, x)
     )
-    fewer = 0
+    fewer = duplicates = 0
     for query in queries:
         weights = query_weights(index, query, None)
-        full = sum(
+        lengths = [
             len(index.postings[t].documents) for t, w in weights.items()
             if w and t in index.postings
-        )
+        ]
         CountedList.visits = 0
         lookups.clear()
         assert index.classify(query) == oracle_classify_nn(query, history)
-        fewer += CountedList.visits + len(lookups) < full
-    assert len(queries) >= 20
+        work = CountedList.visits + len(lookups)
+        fewer += work < sum(lengths)
+        if tokenize(query).tokens in index.positions:
+            # An exact duplicate starts from the postings of a term every
+            # document that may tie with it holds, not from the longest.
+            assert work <= 2 * min(lengths) * (len(lengths) + 1), (work, lengths)
+            duplicates += 1
+    assert len(queries) >= 20 and duplicates >= 10, (len(queries), duplicates)
     assert 2 * fewer >= len(queries), (fewer, len(queries))
 
 
