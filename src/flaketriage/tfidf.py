@@ -50,8 +50,11 @@ def tokenize(record: FailureRecord, failure_id: str = "") -> TokenDocument:
     """Token document of a failure: exception tokens plus per-frame tokens.
 
     The message text contributes nothing; line numbers are kept as tokens.
+    The exception type and frame texts are split in one pass over their
+    space-joined text, which gives the tokens of splitting each in turn.
     """
-    return TokenDocument(failure_id, _tokens(record, tokenize_line))
+    text = " ".join([record.exception_type, *(frame.raw for frame in record.frames)])
+    return TokenDocument(failure_id, tuple(tokenize_line(text)))
 
 
 def _tokens(
@@ -97,7 +100,7 @@ def idf(
     on it.
     """
     if not corpus:
-        raise ValueError("idf needs a non-empty corpus")
+        raise EmptyHistory("idf needs a non-empty corpus")
     _check_log_base(log_base)
     containing = sum(1 for doc in corpus if term in doc.tokens)
     if containing == 0:
@@ -141,7 +144,7 @@ def vectorize(
 ) -> WeightedVector:
     """TF-IDF weights of every distinct term of the document."""
     if not corpus:
-        raise ValueError("vectorize needs a non-empty corpus")
+        raise EmptyHistory("vectorize needs a non-empty corpus")
     _check_log_base(log_base)
     return _weights(doc, _document_frequencies(corpus), len(corpus), log_base)
 
@@ -160,7 +163,8 @@ def cosine(u: WeightedVector, v: WeightedVector) -> float:
 class _Document:
     """One distinct token document of a project's history."""
 
-    members: tuple[tuple[str, Label], ...]
+    ids: tuple[str, ...]  # its records' ids, sorted
+    flaky: int  # how many of its records are flaky
     tokens: tuple[str, ...]  # one object per term, the index's postings key
 
 
@@ -169,6 +173,7 @@ class _Postings:
     """The documents holding one term, with the term's share of each."""
 
     idf: float  # log((n + 1) / (df + 1)), the term's idf in any query holding it
+    zero_idf: float  # log((n + 1) / df), its idf in any other query
     documents: list[int]  # ascending
     shares: list[float]  # tf / sqrt(plus-one norm) in each document
     peak: float  # the largest share
@@ -179,15 +184,17 @@ class TfidfIndex:
 
     Built from the history's ``(record_id, record)`` pairs. Records with
     identical token documents share one document, since they get identical
-    vectors and so identical similarities; its members are kept in the order
-    given, and its tokens. Every query joins the corpus, so the corpus holds
+    vectors and so identical similarities; it keeps its tokens and its
+    verdict evidence: its records' ids, sorted once, and how many of them
+    are flaky. Every query joins the corpus, so the corpus holds
     ``n + 1`` documents and the query raises the document frequency of its
     own terms by one: they get their plus-one idf ``log((n + 1) / (df + 1))``.
     A document's squared norm under any query lies between its plus-one norm,
     every term at that idf, and its plus-zero norm, every term at
     ``log((n + 1) / df)``. Each posting holds the term's share of its document,
-    ``tf / sqrt(plus-one norm)``, each term its peak share, and each document
-    its floor ``sqrt(plus-one norm / plus-zero norm)``; no query changes them.
+    ``tf / sqrt(plus-one norm)``, each term its plus-one and plus-zero idf and
+    its peak share, and each document its floor
+    ``sqrt(plus-one norm / plus-zero norm)``; no query changes them.
 
     Under a query ``q``, a term of weight ``w`` adds ``w·idf·share / |q|`` to
     an upper bound on a document's cosine, and ``w·idf·peak / |q|`` bounds that
@@ -200,13 +207,22 @@ class TfidfIndex:
     cosine at most ``sqrt(|q|² - w²) / |q|``; at a threshold of 1 a term
     whose bound is below it is required, and the walk starts from the
     fewest postings of a required term, with nothing to walk before
-    completion. It completes the bounds of the documents walked from the
+    completion; if that term is in one document only, that document is the
+    one candidate. It completes the bounds of the documents walked from the
     terms left, after each term raising the threshold and dropping the
     documents that cannot reach it, until one is left, and scores exactly,
     in descending bound, only the documents whose bound can reach the best
-    score so far. An exact score is :func:`cosine` of the query's and the
-    document's :func:`_weights` vectors, the float the unindexed computation
-    gives, so ties are exact float equality.
+    score so far.
+
+    An exact score is the :func:`cosine` of the query's and the document's
+    :func:`_weights` vectors, computed from the document's kept terms: its
+    distinct terms in sorted order, each with its tf times its plus-one idf,
+    the weight it has if the query holds it, and times its plus-zero idf,
+    derived on the document's first exact scoring. The norm and the dot
+    product are ``sum()`` calls in sorted term order, and the query's norm is
+    the sorted sum the walk starts from, so the score is the float the
+    unindexed computation gives and ties are exact float equality. A verdict
+    on one top document hands out its sorted ids as they are.
     """
 
     def __init__(
@@ -269,28 +285,50 @@ class TfidfIndex:
                     column = columns[term] = ([], [])
                 column[0].append(position)
                 column[1].append(shares[count])
-            self.documents.append(_Document(tuple(members), tokens))
+            self.documents.append(_Document(
+                tuple(sorted(record_id for record_id, _ in members)),
+                sum(label is Label.FLAKY for _, label in members),
+                tokens,
+            ))
             self.floors.append(math.sqrt(plus_one / plus_zero))
         self.postings = {
-            term: _Postings(idfs[self.frequencies[term]][0], documents, shares, max(shares))
+            term: _Postings(*idfs[self.frequencies[term]], documents, shares, max(shares))
             for term, (documents, shares) in columns.items()
         }
         # The idf of a term the query alone holds: log((n + 1) / 1).
         self.unseen_idf = _log(self.size + 1, log_base)
+        # Each scored document's kept terms: (term, tf * plus-one idf,
+        # tf * plus-zero idf) in sorted term order, derived on its first
+        # exact scoring.
+        self.kept: dict[int, list[tuple[str, float, float]]] = {}
 
-    def _similarity(self, position: int, query: WeightedVector) -> float:
-        """The :func:`cosine` of the document's vector with the query's."""
-        document = TokenDocument("", self.documents[position].tokens)
-        frequencies = {t: self.frequencies[t] + (t in query) for t in document.tokens}
-        return cosine(query, _weights(document, frequencies, self.size + 1, self.log_base))
+    def _similarity(self, position: int, query: WeightedVector, query_norm: float) -> float:
+        """The :func:`cosine` of the document's vector with the query's, whose
+        norm is ``query_norm``: the same sums in the same sorted term order."""
+        kept = self.kept.get(position)
+        if kept is None:
+            tokens = self.documents[position].tokens
+            kept = []
+            for term, count in sorted(Counter(tokens).items()):
+                tf, postings = count / len(tokens), self.postings[term]
+                kept.append((term, tf * postings.idf, tf * postings.zero_idf))
+            self.kept[position] = kept  # whole, as threads may share the index
+        weights = [one if term in query else zero for term, one, zero in kept]
+        norm = math.sqrt(sum(weight * weight for weight in weights))
+        if norm == 0.0:
+            return 0.0
+        dot = sum(query[term] * one for term, one, _ in kept if term in query)
+        return dot / (query_norm * norm)
 
     def _candidates(
-        self, tokens: tuple[str, ...], weights: WeightedVector
+        self, tokens: tuple[str, ...], weights: WeightedVector, squared: float
     ) -> list[tuple[float, int]]:
         """``(bound, position)``, highest bound first, of the documents whose
-        upper bound on their cosine with ``weights`` reaches a threshold at
-        most the best cosine; every other document's cosine is below it."""
-        squared = sum(weights[t] * weights[t] for t in sorted(weights))
+        upper bound on their cosine with ``weights``, of squared norm
+        ``squared``, reaches a threshold at most the best cosine; every other
+        document's cosine is below it. If a required term is in one document
+        only, that document is returned alone, before any term is sorted or
+        any posting walked."""
         query_norm = math.sqrt(squared)
         # threshold is at most the best cosine, up to rounding: a document
         # with the query's tokens has the query's vector, so its cosine is 1.
@@ -319,6 +357,11 @@ class TfidfIndex:
                 if (threshold and math.sqrt(squared - weight * weight) * widen < threshold
                         and (alive is None or len(postings.documents) < len(alive))):
                     alive = postings.documents
+        if alive is not None and len(alive) == 1:
+            # The document of the query's tokens alone can reach threshold:
+            # it is scored whatever its bound, the sum of every peak
+            # contribution, so nothing is sorted, summed back or walked.
+            return [(sum(limit for limit, _, _ in terms) * widen, alive[0])]
         terms.sort(key=itemgetter(0), reverse=True)
         # reach[i]: what the terms from i on can add to any dot product,
         # summed from the end so that no subtraction rounds it low.
@@ -391,13 +434,16 @@ class TfidfIndex:
         if self.empty_id is not None:
             raise EmptyDocument(f"document {self.empty_id!r} has no tokens")
 
+        # The query's squared norm, summed in cosine's sorted term order.
+        squared = sum(weights[t] * weights[t] for t in sorted(weights))
+        query_norm = math.sqrt(squared)
         # Score exactly in descending bound, until no bound can reach the best
         # score; a bound equal to it may still tie, so it is scored too.
         best, tops = 0.0, []
-        for bound, position in self._candidates(document.tokens, weights):
+        for bound, position in self._candidates(document.tokens, weights, squared):
             if bound < best:
                 break
-            score = self._similarity(position, weights)
+            score = self._similarity(position, weights, query_norm)
             if score > best:
                 best, tops = score, [position]
             elif score == best:
@@ -405,12 +451,14 @@ class TfidfIndex:
         if best == 0.0:
             return TriageVerdict.of(0, 0)
 
-        top = [
-            member for position in tops for member in self.documents[position].members
-        ]
-        flaky = sum(label is Label.FLAKY for _, label in top)
-        evidence = tuple(sorted(record_id for record_id, _ in top))
-        return TriageVerdict.of(flaky, len(top) - flaky, evidence)
+        if len(tops) == 1:
+            top = self.documents[tops[0]]
+            return TriageVerdict.of(top.flaky, len(top.ids) - top.flaky, top.ids)
+        flaky = sum(self.documents[position].flaky for position in tops)
+        evidence = tuple(sorted(
+            record_id for position in tops for record_id in self.documents[position].ids
+        ))
+        return TriageVerdict.of(flaky, len(evidence) - flaky, evidence)
 
 
 def classify_nn(

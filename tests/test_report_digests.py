@@ -249,6 +249,11 @@ def test_stdout_does_not_depend_on_the_hash_seed(inputs, tmp_path):
     calls += [
         ["evaluate", "--corpus", corpus_xml, "--method", "tfidf"],
         ["evaluate", "--corpus", corpus_xml, "--method", "match", "--scope", "cross-test"],
+        ["corpus-stats", "--corpus", corpus_xml],
+        ["evaluate", "--corpus", corpus_xml, "--method", "tree"],
+        ["evaluate", "--corpus", corpus_xml, "--method", "bayes", "--oversample"],
+        ["parse", "--in", str(inputs / "flaky.log"), "--test", QUERY_TEST,
+         "--project", "proj00"],
     ]
     src = Path(flaketriage.__file__).resolve().parents[1]
     outputs = []

@@ -140,6 +140,14 @@ def test_idf_unknown_term():
         idf("ghost", [doc("a")])
 
 
+def test_empty_corpus_raises_empty_history():
+    # A library error, so FlakeTriageError catches it, not a plain ValueError.
+    with pytest.raises(EmptyHistory, match="idf needs a non-empty corpus"):
+        idf("a", [])
+    with pytest.raises(EmptyHistory, match="vectorize needs a non-empty corpus"):
+        vectorize(doc("a"), [])
+
+
 def test_idf_log_base_rescales():
     corpus = [doc("t"), doc("w")]
     assert idf("t", corpus, log_base=2) == pytest.approx(1.0)

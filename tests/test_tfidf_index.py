@@ -374,10 +374,10 @@ def test_tfidf_cv_matches_the_oracle_trainer(seed, monkeypatch):
 def index_facts(index: TfidfIndex) -> tuple:
     """What an index holds, free of the order it met its records in."""
     return (
-        {d.tokens: sorted(d.members) for d in index.documents},
+        {d.tokens: (d.ids, d.flaky) for d in index.documents},
         {d.tokens: floor for d, floor in zip(index.documents, index.floors)},
         index.frequencies,
-        {t: (p.idf, p.peak) for t, p in index.postings.items()},
+        {t: (p.idf, p.zero_idf, p.peak) for t, p in index.postings.items()},
     )
 
 
@@ -444,6 +444,15 @@ def scored_positions(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(TfidfIndex, "_similarity", counted)
     return scored
+
+
+def oracle_similarity(index: TfidfIndex, position: int, query: dict) -> float:
+    """The exact score the index gave before it kept terms: the document's
+    :func:`_weights` vector, under the history's document frequencies plus
+    the query's, and its :func:`cosine` with the query's vector."""
+    document = TokenDocument("", index.documents[position].tokens)
+    frequencies = {t: index.frequencies[t] + (t in query) for t in document.tokens}
+    return cosine(query, _weights(document, frequencies, index.size + 1, index.log_base))
 
 
 def candidates(index: TfidfIndex, query: FailureRecord) -> set[int]:
@@ -581,6 +590,49 @@ def test_query_weights_from_the_postings_are_the_reference_weights(seed, log_bas
     assert unseen
 
 
+@pytest.mark.parametrize("log_base", [None, 2, 0.5])
+@pytest.mark.parametrize("seed", range(0, 100, 5))
+def test_kept_term_scores_are_the_oracle_floats(seed, log_base):
+    # Every document against every query, twice: the first scoring derives
+    # the document's kept terms, the second reuses them. The floats must be
+    # equal, not close, or ties at the top would change.
+    corpus = random_corpus(seed, max_records=120)
+    indexes = {
+        p: TfidfIndex(corpus.identified_records(p), log_base)
+        for p in corpus.project_names()
+    }
+    checked = 0
+    for query in queries_for(corpus, random.Random(seed)):
+        index = indexes[query.test.project]
+        weights = query_weights(index, query, log_base)
+        query_norm = math.sqrt(sum(weights[t] * weights[t] for t in sorted(weights)))
+        if not query_norm:
+            continue
+        for position in range(len(index.documents)):
+            want = oracle_similarity(index, position, weights)
+            assert index._similarity(position, weights, query_norm) == want
+            assert index._similarity(position, weights, query_norm) == want
+            checked += 1
+        assert len(index.kept) == len(index.documents)
+    assert checked
+
+
+@pytest.mark.parametrize("seed", range(0, 100, 10))
+def test_each_document_holds_its_records_sorted_ids_and_flaky_count(seed):
+    corpus = random_corpus(seed)
+    for project in corpus.project_names():
+        records = list(corpus.identified_records(project))
+        index = TfidfIndex(records)
+        holders: dict[tuple[str, ...], list[tuple[str, Label]]] = {}
+        for record_id, r in records:
+            holders.setdefault(tokenize(r).tokens, []).append((record_id, r.label))
+        for document in index.documents:
+            held = holders.pop(document.tokens)
+            assert document.ids == tuple(sorted(i for i, _ in held))
+            assert document.flaky == sum(label is Label.FLAKY for _, label in held)
+        assert list(holders) in ([], [()])  # only records without tokens are left
+
+
 def squared_norm(index: TfidfIndex, tokens: tuple[str, ...], held, log_base) -> float:
     """A document's squared norm, its terms in ``held`` at their plus-one idf."""
     n = index.size
@@ -626,7 +678,7 @@ def test_peaks_bound_every_share_and_shares_every_cosine(seed, log_base):
                 * index.postings[t].shares[index.postings[t].documents.index(position)]
                 for t in set(document.tokens) if weights.get(t)
             )
-            similarity = index._similarity(position, weights)
+            similarity = oracle_similarity(index, position, weights)
             # The shares' dot product bounds the cosine from above, and times
             # the floor from below; the floor is what the plus-zero norm
             # (every term at log((n + 1) / df)) keeps of the plus-one norm.
@@ -648,7 +700,6 @@ def test_every_document_not_scored_is_below_the_best_score(seed, log_base, monke
         p: TfidfIndex(corpus.identified_records(p), log_base)
         for p in corpus.project_names()
     }
-    similarity = TfidfIndex._similarity
     scored = scored_positions(monkeypatch)
     checked = 0
     for query in queries_for(corpus, random.Random(seed)):
@@ -659,7 +710,7 @@ def test_every_document_not_scored_is_below_the_best_score(seed, log_base, monke
         except FlakeTriageError:
             continue
         weights = query_weights(index, query, log_base)
-        scores = [similarity(index, p, weights) for p in range(len(index.documents))]
+        scores = [oracle_similarity(index, p, weights) for p in range(len(index.documents))]
         best = max(scores)
         if best == 0.0:
             assert verdict.basis is TriageBasis.MATCHED_NONE
@@ -692,6 +743,22 @@ def gate_nn_history(seed: int) -> tuple[Corpus, list[FailureRecord]]:
     history.add_all(r for i, r in enumerate(records) if i % 8)
     queries = [dataclasses.replace(r, label=None) for r in records[::8]]
     return history, queries
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_classify_needs_no_query_time_vector_or_cosine(seed, monkeypatch):
+    # Exact scores come from each document's kept terms: neither the
+    # per-document _weights vector nor cosine's sorts are on the query path.
+    history, queries = gate_nn_history(seed)
+    want = [oracle_classify_nn(query, history) for query in queries]
+
+    def refuse(*args):
+        raise AssertionError("rebuilt a vector at query time")
+
+    monkeypatch.setattr(tfidf, "_weights", refuse)
+    monkeypatch.setattr(tfidf, "cosine", refuse)
+    index = TfidfIndex(history.identified_records("proj00"))
+    assert [index.classify(query) for query in queries] == want
 
 
 class CountedList(list):
