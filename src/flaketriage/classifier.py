@@ -9,6 +9,7 @@ suppresses a failure and a tie must never suppress.
 from __future__ import annotations
 
 import math
+import os
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -42,30 +43,14 @@ class FeatureVector(NamedTuple):
     cut_in_trace: bool
 
 
-# Field order doubles as the split tie-breaking order in the decision tree.
-_FEATURES = FeatureVector._fields
-
-
 def default_cut_prefixes(tests: Iterable[TestId]) -> frozenset[str]:
     """Longest common package prefix of the given test classes.
 
     Used when no explicit code-under-test prefixes are configured; the test
     classes themselves are excluded from the CUT check separately.
     """
-    packages = [t.class_fqn.split(".")[:-1] for t in tests]
-    if not packages:
-        return frozenset()
-    common: list[str] = packages[0]
-    for package in packages[1:]:
-        limit = 0
-        for a, b in zip(common, package):
-            if a != b:
-                break
-            limit += 1
-        common = common[:limit]
-    if not common:
-        return frozenset()
-    return frozenset({".".join(common) + "."})
+    common = os.path.commonprefix([t.class_fqn.split(".")[:-1] for t in tests])
+    return frozenset({".".join(common) + "."}) if common else frozenset()
 
 
 class FeatureContext:
@@ -112,9 +97,11 @@ def extract_features(
 
     ``known_tests`` is the universe of test names of the same project (it
     feeds the other-tests feature and excludes test classes from the CUT
-    check). ``cut_prefixes`` defaults to the longest common package prefix of
-    the known test classes. To extract many failures against the same tests,
-    build one :class:`FeatureContext` instead.
+    check). ``cut_prefixes`` defaults to :func:`default_cut_prefixes` of the
+    known tests plus the failure's own test. To extract many failures
+    against the same tests, build one :class:`FeatureContext` instead; the
+    per-fold context of cross-validation takes its prefixes from the fold's
+    training tests alone.
     """
     known = KnownTests(known_tests)
     if cut_prefixes is None:
@@ -134,10 +121,9 @@ class _Leaf:
 
 @dataclass(frozen=True)
 class _Split:
-    # category is the equality-tested exception value, or None when the
-    # split is on the boolean feature named by `feature`.
-    feature: str
-    category: str | None
+    # A vector goes to `match` when its value at `position` equals `value`.
+    position: int
+    value: str | bool
     match: Union["_Split", _Leaf]
     other: Union["_Split", _Leaf]
 
@@ -149,12 +135,6 @@ def _gini(n_flaky: int, n_true: int) -> float:
     pf = n_flaky / n
     pt = n_true / n
     return 1.0 - pf * pf - pt * pt
-
-
-def _matches_split(fv: FeatureVector, feature: str, category: str | None) -> bool:
-    if category is not None:
-        return fv.exception_type == category
-    return bool(getattr(fv, feature))
 
 
 def tally(data: Iterable[tuple[_K, Label]]) -> dict[_K, list[int]]:
@@ -180,8 +160,8 @@ def _grow(tallies: dict[FeatureVector, list[int]]) -> _Split | _Leaf:
     # then the boolean features in field order. Strict > keeps the earliest
     # candidate on ties; one that leaves a side without samples is skipped.
     candidates = [(0, value) for value in sorted({fv[0] for fv in tallies})]
-    candidates += [(position, True) for position in range(1, len(_FEATURES))]
-    best: tuple[int, object] | None = None
+    candidates += [(position, True) for position in range(1, len(FeatureVector._fields))]
+    best: tuple[int, str | bool] | None = None
     best_gain = -1.0
     for position, value in candidates:
         m_flaky = sum(f for fv, (f, _) in tallies.items() if fv[position] == value)
@@ -202,12 +182,7 @@ def _grow(tallies: dict[FeatureVector, list[int]]) -> _Split | _Leaf:
     position, value = best
     match = {fv: pair for fv, pair in tallies.items() if fv[position] == value}
     other = {fv: pair for fv, pair in tallies.items() if fv[position] != value}
-    return _Split(
-        _FEATURES[position],
-        value if position == 0 else None,
-        _grow(match),
-        _grow(other),
-    )
+    return _Split(position, value, _grow(match), _grow(other))
 
 
 class DecisionTreeModel:
@@ -224,11 +199,7 @@ class DecisionTreeModel:
     def predict(self, fv: FeatureVector) -> Label:
         node = self._root
         while isinstance(node, _Split):
-            node = (
-                node.match
-                if _matches_split(fv, node.feature, node.category)
-                else node.other
-            )
+            node = node.match if fv[node.position] == node.value else node.other
         return node.label
 
 
@@ -244,39 +215,42 @@ def train_decision_tree(data: Sequence[Sample]) -> DecisionTreeModel:
 
 class NaiveBayesModel:
     """Categorical naive Bayes with additive smoothing (:data:`SMOOTHING`)
-    over the six features.
+    over the six features, built from the :func:`tally` of its samples.
 
-    Likelihoods use the categories observed in training; a value never seen
-    for a feature contributes the smoothed zero-count likelihood. The log
-    prior and log likelihoods are tabled once, per label with samples.
+    Likelihoods use the values observed at each vector position in
+    training; a value never seen under a label contributes the smoothed
+    zero-count likelihood. The log prior and log likelihoods are tabled
+    once, per label with samples.
     """
 
-    def __init__(
-        self,
-        class_counts: dict[Label, int],
-        value_counts: dict[str, dict[Label, dict[str, int]]],
-        categories: dict[str, tuple[str, ...]],
-    ) -> None:
-        total = sum(class_counts.values())
-        # Per label: its log prior, and per feature the log likelihood of
+    def __init__(self, tallies: dict[FeatureVector, list[int]]) -> None:
+        n_values = [len(set(column)) for column in zip(*tallies)]
+        total = sum(map(sum, tallies.values()))
+        # Per label: its log prior, and per position the log likelihood of
         # each value seen under the label and that of any other value.
         self._tables: dict[Label, tuple[float, list]] = {}
-        for label, n_label in class_counts.items():
-            if n_label:
-                likelihoods = []
-                for feature in _FEATURES:
-                    denominator = n_label + SMOOTHING * len(categories[feature])
-                    seen = value_counts[feature][label].items()
-                    likelihoods.append((feature, {
-                        value: math.log((count + SMOOTHING) / denominator)
-                        for value, count in seen
-                    }, math.log(SMOOTHING / denominator)))
-                self._tables[label] = (math.log(n_label / total), likelihoods)
+        for side, label in enumerate((Label.FLAKY, Label.TRUE)):
+            n_label = sum(pair[side] for pair in tallies.values())
+            if not n_label:
+                continue
+            counts: list[Counter] = [Counter() for _ in n_values]
+            for fv, pair in tallies.items():
+                if pair[side]:
+                    for seen, value in zip(counts, fv):
+                        seen[value] += pair[side]
+            likelihoods = []
+            for seen, k in zip(counts, n_values):
+                denominator = n_label + SMOOTHING * k
+                likelihoods.append(({
+                    value: math.log((count + SMOOTHING) / denominator)
+                    for value, count in seen.items()
+                }, math.log(SMOOTHING / denominator)))
+            self._tables[label] = (math.log(n_label / total), likelihoods)
 
     def _score(self, label: Label, fv: FeatureVector) -> float:
         score, likelihoods = self._tables[label]
-        for feature, seen, unseen in likelihoods:
-            score += seen.get(str(getattr(fv, feature)), unseen)
+        for value, (seen, unseen) in zip(fv, likelihoods):
+            score += seen.get(value, unseen)
         return score
 
     def predict(self, fv: FeatureVector) -> Label:
@@ -290,22 +264,7 @@ class NaiveBayesModel:
 def train_naive_bayes(data: Sequence[Sample]) -> NaiveBayesModel:
     if not data:
         raise EmptyDataset("cannot train naive Bayes on no samples")
-    class_counts = {Label.FLAKY: 0, Label.TRUE: 0}
-    value_counts: dict[str, dict[Label, dict[str, int]]] = {
-        feature: {Label.FLAKY: {}, Label.TRUE: {}} for feature in _FEATURES
-    }
-    for fv, pair in tally(data).items():
-        for label, n in zip((Label.FLAKY, Label.TRUE), pair):
-            if n:
-                class_counts[label] += n
-                for feature, value in zip(_FEATURES, map(str, fv)):
-                    counts = value_counts[feature][label]
-                    counts[value] = counts.get(value, 0) + n
-    categories = {
-        feature: tuple(sorted({v for counts in per_label.values() for v in counts}))
-        for feature, per_label in value_counts.items()
-    }
-    return NaiveBayesModel(class_counts, value_counts, categories)
+    return NaiveBayesModel(tally(data))
 
 
 TrainedModel = Union[DecisionTreeModel, NaiveBayesModel]

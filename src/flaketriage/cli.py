@@ -285,8 +285,7 @@ def _cmd_evaluate(args) -> int:
         counts = {name: _project_counts(corpus, name) for name in results}
 
         def table(per_project: dict) -> str:
-            result = evaluation.CorpusCvResult(per_project, {})
-            return evaluation.render_cv_table(result, counts)
+            return evaluation.render_cv_table(per_project, counts)
 
         records = evaluation.cv_record_json
 

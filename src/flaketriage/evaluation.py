@@ -547,7 +547,7 @@ def render_matching_table(
 
 
 def render_cv_table(
-    result: CorpusCvResult, test_counts: dict[str, tuple[int, int, int]]
+    per_project: dict[str, CvResult], test_counts: dict[str, tuple[int, int, int]]
 ) -> str:
     """Table of per-project cross-validation totals plus an aggregate row.
 
@@ -555,7 +555,7 @@ def render_cv_table(
     """
     return _report_table(CV_COLUMNS, {
         project: (tuple(test_counts[project]), cv.total, ())
-        for project, cv in result.per_project.items()
+        for project, cv in per_project.items()
     })
 
 

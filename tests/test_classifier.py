@@ -1,6 +1,7 @@
 """Feature extraction, decision tree, naive Bayes, and oversampling."""
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 from flaketriage.classifier import (
     FeatureVector,
     NaiveBayesModel,
-    _FEATURES,
     _Leaf,
     _Split,
     default_cut_prefixes,
     extract_features,
     oversample,
+    tally,
     train_decision_tree,
     train_naive_bayes,
 )
@@ -112,6 +113,63 @@ def test_default_cut_prefixes_is_common_test_package():
     assert default_cut_prefixes(disjoint) == frozenset()
 
 
+def oracle_default_cut_prefixes(tests):
+    """The pairwise loop ``default_cut_prefixes`` replaced: shrink the first
+    package to its common prefix with each further one."""
+    packages = [t.class_fqn.split(".")[:-1] for t in tests]
+    if not packages:
+        return frozenset()
+    common = packages[0]
+    for package in packages[1:]:
+        limit = 0
+        for a, b in zip(common, package):
+            if a != b:
+                break
+            limit += 1
+        common = common[:limit]
+    if not common:
+        return frozenset()
+    return frozenset({".".join(common) + "."})
+
+
+def _random_tests(rng):
+    """0-6 tests whose classes sit 0-4 packages deep, drawn from components
+    that share string prefixes ("a", "ab"), so that packages of many shapes
+    meet: the default package, nested, equal and disjoint ones."""
+    tests = set()
+    root = rng.choice(("org", "a", ""))
+    for _ in range(rng.choice((0, 1, rng.randint(2, 6)))):
+        depth = rng.randint(0, 4)
+        package = [rng.choice(("a", "ab", "b", "org")) for _ in range(depth)]
+        if package and root and rng.random() < 0.7:
+            package[0] = root
+        tests.add(TestId("p", ".".join(package + [rng.choice(("ATest", "BTest"))]), "m"))
+    return tests
+
+
+def test_default_cut_prefixes_matches_the_pairwise_oracle():
+    cases = [
+        set(),
+        {TestId("p", "org.app.ATest", "m")},
+        {TestId("p", "ATest", "m")},
+        {TestId("p", "ATest", "m"), TestId("p", "org.app.BTest", "m")},
+        {TestId("p", "x.ATest", "m"), TestId("p", "y.BTest", "m")},
+        {TestId("p", "org.a.ATest", "m"), TestId("p", "org.ab.BTest", "m")},
+    ]
+    rng = random.Random(29)
+    cases += [_random_tests(rng) for _ in range(20_000)]
+    outcomes = Counter()
+    for tests in cases:
+        want = oracle_default_cut_prefixes(tests)
+        # Iteration order must not matter: try the tests in two orders.
+        ordered = sorted(tests, key=lambda t: t.class_fqn)
+        assert default_cut_prefixes(ordered) == want
+        assert default_cut_prefixes(ordered[::-1]) == want
+        outcomes[len(tests) > 1, bool(want)] += 1
+    # Sets of several tests both share a package and share none.
+    assert outcomes[True, True] > 500 and outcomes[True, False] > 500
+
+
 @given(st.data())
 @settings(max_examples=150)
 def test_test_name_implies_test_class(data):
@@ -145,7 +203,7 @@ def _separable_data():
 def test_tree_single_split_on_separating_exception():
     model = train_decision_tree(_separable_data())
     assert model._root == _Split(
-        "exception_type",
+        0,
         "UnknownHostException",
         _Leaf(Label.FLAKY, 2, 0),
         _Leaf(Label.TRUE, 0, 2),
@@ -282,16 +340,9 @@ def test_bayes_rejects_empty_data():
 
 @pytest.mark.parametrize("label", [Label.FLAKY, Label.TRUE])
 def test_bayes_model_with_samples_of_one_label_predicts_that_label(label):
-    class_counts = {Label.FLAKY: 0, Label.TRUE: 0, label: 3}
-    value_counts = {
-        feature: {Label.FLAKY: {}, Label.TRUE: {}, label: {"False": 3}}
-        for feature in _FEATURES
-    }
-    value_counts["exception_type"][label] = {"UnknownHostException": 2, "AssertionError": 1}
-    categories = {
-        feature: tuple(sorted(counts[label])) for feature, counts in value_counts.items()
-    }
-    model = NaiveBayesModel(class_counts, value_counts, categories)
+    exceptions = ("UnknownHostException", "UnknownHostException", "AssertionError")
+    model = NaiveBayesModel(tally((fv(exception), label) for exception in exceptions))
+    assert list(model._tables) == [label]
     for exception in ("UnknownHostException", "AssertionError", "anything"):
         assert model.predict(fv(exception)) is label
 

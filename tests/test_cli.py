@@ -618,7 +618,7 @@ def test_evaluate_cv_section_is_stratified_cv(
         for name in result.per_project
     }
     want = "\n\n".join(
-        [evaluation.render_cv_table(result, counts)]
+        [evaluation.render_cv_table(result.per_project, counts)]
         + [f"skipped {name}: {why}" for name, why in sorted(result.skipped.items())]
     )
     code, out, _ = run(capsys, "evaluate", "--corpus", path, *argv)

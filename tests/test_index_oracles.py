@@ -759,7 +759,10 @@ def _grow(samples):
     if best is None:
         return leaf  # all vectors identical
     feature, category, match, other = best
-    return classifier._Split(feature, category, _grow(match), _grow(other))
+    # The model names a split by vector position and the value it tests.
+    position = FeatureVector._fields.index(feature)
+    value = True if category is None else category
+    return classifier._Split(position, value, _grow(match), _grow(other))
 
 
 def _label_counts(samples):
@@ -783,7 +786,7 @@ def oracle_bayes_counts(data):
     for fv, label in data:
         class_counts[label] += 1
         for feature in ("exception_type",) + _BOOLEAN_FEATURES:
-            value = str(getattr(fv, feature))
+            value = getattr(fv, feature)
             counts = value_counts[feature][label]
             counts[value] = counts.get(value, 0) + 1
             observed[feature].add(value)
@@ -793,13 +796,34 @@ def oracle_bayes_counts(data):
     return class_counts, value_counts, categories
 
 
+def oracle_bayes_tables(class_counts, value_counts, categories):
+    """The fitted tables the model should hold: per label with samples, its
+    log prior and, per feature in field order, the log likelihood of each
+    value seen under the label and that of any other value."""
+    smoothing = 1.0
+    total = sum(class_counts.values())
+    tables = {}
+    for label, n_label in class_counts.items():
+        if n_label:
+            likelihoods = []
+            for feature in ("exception_type",) + _BOOLEAN_FEATURES:
+                denominator = n_label + smoothing * len(categories[feature])
+                seen = {
+                    value: math.log((count + smoothing) / denominator)
+                    for value, count in value_counts[feature][label].items()
+                }
+                likelihoods.append((seen, math.log(smoothing / denominator)))
+            tables[label] = (math.log(n_label / total), likelihoods)
+    return tables
+
+
 def oracle_bayes_score(class_counts, value_counts, categories, label, fv):
     smoothing = 1.0
     n_label = class_counts[label]
     total = sum(class_counts.values())
     score = math.log(n_label / total)
     for feature in ("exception_type",) + _BOOLEAN_FEATURES:
-        value = str(getattr(fv, feature))
+        value = getattr(fv, feature)
         count = value_counts[feature][label].get(value, 0)
         k = len(categories[feature])
         score += math.log(
@@ -864,8 +888,7 @@ def test_fits_on_distinct_vectors_match_the_per_sample_oracles(seed):
 
     bayes = train_naive_bayes(data)
     counts = oracle_bayes_counts(data)
-    want = classifier.NaiveBayesModel(*counts)
-    assert bayes._tables == want._tables
+    assert bayes._tables == oracle_bayes_tables(*counts)
     class_counts = counts[0]
     for fv in probes:
         if all(class_counts.values()):
