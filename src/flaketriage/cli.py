@@ -34,6 +34,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_TRUE_FAILURE = 3
 
+_METHODS = ("match", "tree", "bayes", "tfidf")
 _MODES = {"full": MatchMode.FULL, "exception-only": MatchMode.EXCEPTION_ONLY}
 _SCOPES = {"per-test": MatchScope.PER_TEST, "cross-test": MatchScope.CROSS_TEST}
 # Each trained classifier's trainer, and the detail classify prints with it.
@@ -100,18 +101,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, metavar="FILE")
     p.add_argument("--failure", required=True, metavar="FILE")
     p.add_argument("--test", required=True, help="full test name (class.method)")
-    p.add_argument(
-        "--method", required=True, choices=("match", "tree", "bayes", "tfidf")
-    )
+    p.add_argument("--method", required=True, choices=_METHODS)
     p.add_argument("--scope", choices=sorted(_SCOPES))
     p.add_argument("--mode", choices=sorted(_MODES))
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("evaluate", help="evaluate a method over a labeled corpus")
     p.add_argument("--corpus", required=True, metavar="FILE")
-    p.add_argument(
-        "--method", required=True, choices=("match", "tree", "bayes", "tfidf")
-    )
+    p.add_argument("--method", required=True, choices=_METHODS)
     p.add_argument(
         "--k", type=_int_at_least(2), help="cross-validation folds (at least 2)"
     )

@@ -11,14 +11,19 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from pathlib import Path
 
 from .errors import InvalidConfig
 from .model import Corpus, FailureRecord, Label, StackFrame, TestId
 
-_FLAKY_LINE_RANGE = (10, 500)
-_TRUE_LINE_RANGE = (500, 1000)
+# Per label: the range its trace line numbers come from (disjoint, so a full
+# signature never spans both labels) and the wording of its fixed message.
+_LABEL_TRACES = {
+    Label.FLAKY: ((10, 500), "while running"),
+    Label.TRUE: ((500, 1000), "from mutated"),
+}
 
 _CUT_METHODS = ("start", "run", "connect", "flush", "resolve", "submit")
 _LIB_FRAMES = (
@@ -77,26 +82,20 @@ class CountDistribution:
         return draws
 
     def can_be_positive(self) -> bool:
-        if self.kind == "constant":
-            return self.a > 0
-        if self.kind == "uniform":
-            return self.b > 0
-        return True
+        return self.kind == "geometric" or max(self.a, self.b) > 0
 
     @classmethod
     def from_dict(cls, data: dict, name: str = "distribution") -> CountDistribution:
         if not isinstance(data, dict) or len(data) != 1:
             raise InvalidConfig(f"{name}: expected one of constant/uniform/geometric")
         kind, value = next(iter(data.items()))
-        if kind == "constant":
-            return cls("constant", _json_value(value, f"{name}.constant", "number"))
+        if kind in ("constant", "geometric"):
+            return cls(kind, _json_value(value, f"{name}.{kind}", "number"))
         if kind == "uniform":
             if not isinstance(value, (list, tuple)) or len(value) != 2:
                 raise InvalidConfig(f"{name}: uniform takes [low, high]")
             low, high = (_json_value(v, f"{name}.uniform", "number") for v in value)
             return cls("uniform", low, high)
-        if kind == "geometric":
-            return cls("geometric", _json_value(value, f"{name}.geometric", "number"))
         raise InvalidConfig(f"{name}: unknown distribution kind {kind!r}")
 
 
@@ -133,20 +132,31 @@ class GeneratorConfig:
     volatile_message_tokens: bool = True
     frame_depth: tuple[int, int] = (3, 8)
 
+    def _counts(self, label: Label) -> tuple[CountDistribution, CountDistribution]:
+        """Signatures per test and occurrences per signature of ``label``; a
+        true failure is a signature of its own that occurs once."""
+        if label is Label.FLAKY:
+            return self.flaky_signatures_per_test, self.flaky_occurrences_per_signature
+        return self.true_failures_per_test, CountDistribution.constant(1)
+
     def validate(self) -> None:
         if self.projects < 0:
             raise InvalidConfig(f"projects must be >= 0, got {self.projects}")
-        self.tests_per_project.validate("tests_per_project")
-        self.flaky_signatures_per_test.validate("flaky_signatures_per_test")
-        self.flaky_occurrences_per_signature.validate(
-            "flaky_occurrences_per_signature"
-        )
-        self.true_failures_per_test.validate("true_failures_per_test")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, CountDistribution):
+                value.validate(f.name)
         if not self.exception_pool:
             raise InvalidConfig("exception_pool must not be empty")
         for spec in self.exception_pool:
             if not spec.name:
                 raise InvalidConfig("exception_pool entries need a name")
+            # The corpus XML reader strips the exception name it reads back.
+            if spec.name != spec.name.strip():
+                raise InvalidConfig(
+                    f"exception_pool entry {spec.name!r} must not be blank or "
+                    "start or end with whitespace"
+                )
             if spec.weight <= 0:
                 raise InvalidConfig(
                     f"exception_pool entry {spec.name!r} needs a positive weight"
@@ -172,14 +182,13 @@ class GeneratorConfig:
             raise InvalidConfig(
                 f"frame_depth needs 0 <= low <= high, got {self.frame_depth}"
             )
-        if self.flaky_signatures_per_test.can_be_positive() and not any(
-            spec.eligible(Label.FLAKY) for spec in self.exception_pool
-        ):
-            raise InvalidConfig("no exception_pool entry is eligible for flaky failures")
-        if self.true_failures_per_test.can_be_positive() and not any(
-            spec.eligible(Label.TRUE) for spec in self.exception_pool
-        ):
-            raise InvalidConfig("no exception_pool entry is eligible for true failures")
+        for label in Label:
+            if self._counts(label)[0].can_be_positive() and not any(
+                spec.eligible(label) for spec in self.exception_pool
+            ):
+                raise InvalidConfig(
+                    f"no exception_pool entry is eligible for {label} failures"
+                )
 
     @classmethod
     def from_dict(cls, data: dict) -> GeneratorConfig:
@@ -188,52 +197,7 @@ class GeneratorConfig:
         Raises InvalidConfig for a missing or unknown field, a value of the
         wrong JSON type or shape, and a value out of its bounds.
         """
-        _json_value(data, "config", "object")
-        _known_keys(data, cls, "config")
-        try:
-            pool = tuple(
-                _exception_spec(entry)
-                for entry in _json_value(
-                    data["exception_pool"], "exception_pool", "array"
-                )
-            )
-            depth = _json_value(
-                data.get("frame_depth", [3, 8]), "frame_depth", "array"
-            )
-            if len(depth) != 2:
-                raise InvalidConfig(
-                    f"frame_depth takes [low, high], got {json.dumps(depth)}"
-                )
-            config = cls(
-                seed=_json_value(data["seed"], "seed", "integer"),
-                projects=_json_value(data["projects"], "projects", "integer"),
-                tests_per_project=CountDistribution.from_dict(
-                    data["tests_per_project"], "tests_per_project"
-                ),
-                flaky_signatures_per_test=CountDistribution.from_dict(
-                    data["flaky_signatures_per_test"], "flaky_signatures_per_test"
-                ),
-                flaky_occurrences_per_signature=CountDistribution.from_dict(
-                    data["flaky_occurrences_per_signature"],
-                    "flaky_occurrences_per_signature",
-                ),
-                true_failures_per_test=CountDistribution.from_dict(
-                    data["true_failures_per_test"], "true_failures_per_test"
-                ),
-                exception_pool=pool,
-                volatile_message_tokens=_json_value(
-                    data.get("volatile_message_tokens", True),
-                    "volatile_message_tokens",
-                    "boolean",
-                ),
-                frame_depth=tuple(
-                    _json_value(v, "frame_depth", "integer") for v in depth
-                ),
-            )
-        except KeyError as exc:
-            raise InvalidConfig(f"missing config field {exc.args[0]!r}") from exc
-        except ValueError as exc:
-            raise InvalidConfig(str(exc)) from exc
+        config = _from_json(cls, data, "config", "")
         config.validate()
         return config
 
@@ -241,7 +205,7 @@ class GeneratorConfig:
     def from_json(cls, text: str) -> GeneratorConfig:
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer with too many digits for int()
             raise InvalidConfig(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 
@@ -255,25 +219,6 @@ class GeneratorConfig:
                 f"{path}: not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}"
             ) from None
         return cls.from_json(text)
-
-
-def _exception_spec(entry) -> ExceptionSpec:
-    _json_value(entry, "exception_pool entry", "object")
-    _known_keys(entry, ExceptionSpec, "exception_pool entry")
-    return ExceptionSpec(
-        name=_json_value(entry["name"], "exception_pool name", "string"),
-        weight=_json_value(entry["weight"], "exception_pool weight", "number"),
-        shared_across_labels=_json_value(
-            entry.get("shared_across_labels", False),
-            "exception_pool shared_across_labels",
-            "boolean",
-        ),
-        only_label=(
-            Label(_json_value(entry["only_label"], "exception_pool only_label", "label"))
-            if "only_label" in entry
-            else None
-        ),
-    )
 
 
 # JSON true and false load as bool, a subclass of int, so "integer" and
@@ -293,13 +238,6 @@ _JSON_TYPES = {
 }
 
 
-def _known_keys(data: dict, cls, name: str) -> None:
-    """InvalidConfig naming the keys of ``data`` that are no field of ``cls``."""
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
-    if unknown:
-        raise InvalidConfig(f"{name} has unknown keys: {', '.join(map(repr, unknown))}")
-
-
 def _json_value(value, name: str, kind: str):
     """``value`` if it is a JSON value of ``kind``; InvalidConfig otherwise."""
     if not _JSON_TYPES[kind](value):
@@ -308,10 +246,52 @@ def _json_value(value, name: str, kind: str):
     return value
 
 
-def _weighted_choice(
-    rng: random.Random, pool: list[ExceptionSpec]
-) -> ExceptionSpec:
-    return rng.choices(pool, weights=[spec.weight for spec in pool], k=1)[0]
+def _from_json(cls, data, name: str, prefix: str):
+    """The ``cls`` that the JSON object ``data`` describes.
+
+    Each field is read through ``_READERS`` under the name ``prefix`` plus the
+    field's; an absent field takes its dataclass default, if it has one.
+    """
+    _json_value(data, name, "object")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise InvalidConfig(f"{name} has unknown keys: {', '.join(map(repr, unknown))}")
+    values = {}
+    for f in fields(cls):
+        if f.name in data:
+            values[f.name] = _READERS[f.name](data[f.name], prefix + f.name)
+        elif f.default is MISSING:
+            raise InvalidConfig(f"missing config field {f.name!r}")
+    return cls(**values)
+
+
+def _frame_depth(value, name: str) -> tuple[int, int]:
+    depth = _json_value(value, name, "array")
+    if len(depth) != 2:
+        raise InvalidConfig(f"{name} takes [low, high], got {json.dumps(depth)}")
+    return tuple(_json_value(v, name, "integer") for v in depth)
+
+
+# How each field of GeneratorConfig and ExceptionSpec is read from its JSON
+# value, given the name an error about the value shows.
+_READERS = {
+    "seed": partial(_json_value, kind="integer"),
+    "projects": partial(_json_value, kind="integer"),
+    "tests_per_project": CountDistribution.from_dict,
+    "flaky_signatures_per_test": CountDistribution.from_dict,
+    "flaky_occurrences_per_signature": CountDistribution.from_dict,
+    "true_failures_per_test": CountDistribution.from_dict,
+    "exception_pool": lambda value, name: tuple(
+        _from_json(ExceptionSpec, entry, "exception_pool entry", "exception_pool ")
+        for entry in _json_value(value, name, "array")
+    ),
+    "volatile_message_tokens": partial(_json_value, kind="boolean"),
+    "frame_depth": _frame_depth,
+    "name": partial(_json_value, kind="string"),
+    "weight": partial(_json_value, kind="number"),
+    "shared_across_labels": partial(_json_value, kind="boolean"),
+    "only_label": lambda value, name: Label(_json_value(value, name, "label")),
+}
 
 
 def _make_stack(
@@ -390,57 +370,28 @@ def generate(config: GeneratorConfig) -> Corpus:
     config.validate()
     rng = random.Random(config.seed)
     corpus = Corpus()
-    flaky_pool = [s for s in config.exception_pool if s.eligible(Label.FLAKY)]
-    true_pool = [s for s in config.exception_pool if s.eligible(Label.TRUE)]
+    draws = []
+    for label in Label:
+        pool = [s for s in config.exception_pool if s.eligible(label)]
+        weights = [spec.weight for spec in pool]
+        draws.append((label, pool, weights, *config._counts(label), *_LABEL_TRACES[label]))
 
     for p in range(config.projects):
         project = f"proj{p:02d}"
         package = f"org.{project}"
-        n_tests = config.tests_per_project.sample(rng)
-        tests = [
-            TestId(project, f"{package}.Suite{t}Test", f"scenario{t}")
-            for t in range(n_tests)
-        ]
-        for test in tests:
-            n_signatures = config.flaky_signatures_per_test.sample(rng)
-            for _ in range(n_signatures):
-                spec = _weighted_choice(rng, flaky_pool)
-                depth = rng.randint(*config.frame_depth)
-                frames = _make_stack(rng, package, test, depth, _FLAKY_LINE_RANGE)
-                fixed_message = f"{spec.name} while running {test.method}"
-                occurrences = config.flaky_occurrences_per_signature.sample(rng)
-                for _ in range(occurrences):
-                    message = (
-                        _volatile_message(rng, spec.name)
-                        if config.volatile_message_tokens
-                        else fixed_message
-                    )
-                    corpus.add(
-                        FailureRecord(
-                            test=test,
-                            exception_type=spec.name,
-                            message=message,
-                            frames=frames,
-                            label=Label.FLAKY,
+        for t in range(config.tests_per_project.sample(rng)):
+            test = TestId(project, f"{package}.Suite{t}Test", f"scenario{t}")
+            for label, pool, weights, signatures, occurrences, lines, wording in draws:
+                for _ in range(signatures.sample(rng)):
+                    spec = rng.choices(pool, weights=weights, k=1)[0]
+                    depth = rng.randint(*config.frame_depth)
+                    frames = _make_stack(rng, package, test, depth, lines)
+                    fixed_message = f"{spec.name} {wording} {test.method}"
+                    for _ in range(occurrences.sample(rng)):
+                        message = (
+                            _volatile_message(rng, spec.name)
+                            if config.volatile_message_tokens
+                            else fixed_message
                         )
-                    )
-            n_true = config.true_failures_per_test.sample(rng)
-            for _ in range(n_true):
-                spec = _weighted_choice(rng, true_pool)
-                depth = rng.randint(*config.frame_depth)
-                frames = _make_stack(rng, package, test, depth, _TRUE_LINE_RANGE)
-                message = (
-                    _volatile_message(rng, spec.name)
-                    if config.volatile_message_tokens
-                    else f"{spec.name} from mutated {test.method}"
-                )
-                corpus.add(
-                    FailureRecord(
-                        test=test,
-                        exception_type=spec.name,
-                        message=message,
-                        frames=frames,
-                        label=Label.TRUE,
-                    )
-                )
+                        corpus.add(FailureRecord(test, spec.name, message, frames, label))
     return corpus

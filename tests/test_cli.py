@@ -408,6 +408,17 @@ def test_generator_config_of_the_wrong_type_is_one_error_line(workdir, capsys):
             "must sum to a finite float\n",
             id="weight-too-large",
         ),
+        *(
+            pytest.param(
+                json.dumps(
+                    {**GENERATOR_CONFIG, "exception_pool": [{"name": name, "weight": 1}]}
+                ),
+                f"error: exception_pool entry {name!r} must not be blank or start "
+                "or end with whitespace\n",
+                id=f"pool-name-{label}",
+            )
+            for label, name in (("leading", " E"), ("trailing", "E "), ("blank", " "))
+        ),
     ],
 )
 def test_generator_config_errors_are_one_error_line(workdir, capsys, document, message):
@@ -415,6 +426,19 @@ def test_generator_config_errors_are_one_error_line(workdir, capsys, document, m
     bad.write_text(document)
     code, out, err = run(capsys, "generate", "--config", bad, "--out", workdir / "x.xml")
     assert (code, out, err) == (EXIT_DATA, "", message)
+    assert not (workdir / "x.xml").exists()
+
+
+def test_generator_config_integer_too_long_to_read_is_one_error_line(workdir, capsys):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter reads integers of any length")
+    bad = workdir / "bad.json"
+    document = json.dumps(GENERATOR_CONFIG).replace('"seed": 7', '"seed": 1' + "0" * limit)
+    bad.write_text(document)
+    code, out, err = run(capsys, "generate", "--config", bad, "--out", workdir / "x.xml")
+    assert (code, out) == (EXIT_DATA, "")
+    assert err.startswith("error: config is not valid JSON: ") and err.count("\n") == 1
     assert not (workdir / "x.xml").exists()
 
 

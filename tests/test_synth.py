@@ -1,6 +1,9 @@
 """Generator determinism, shape control, and config validation."""
 import hashlib
 import json
+import sys
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,7 @@ from flaketriage.evaluation import score_matching
 from flaketriage.ingest import (
     normalize,
     parse_failure_text,
+    read_corpus_xml,
     write_corpus_xml,
 )
 from flaketriage.matching import signature
@@ -382,3 +386,99 @@ def test_weights_of_a_label_are_totalled_apart():
         ExceptionSpec("B", 1e308, only_label=Label.TRUE),
     )
     config(exception_pool=pool).validate()
+
+
+# The corpus bytes that each seed of ``config`` generates with fixed messages:
+# each label words its fixed message in its own way.
+FIXED_MESSAGE_CORPUS_SHA256 = {
+    7: "35e2084925c64f71c2dfd78730b442e4e642d1d91dabb6d861d82f72ee7ce787",
+    13: "61b7759862f9478ca9dabc882c760a263bef1f7c4fefc75ab461743a8b098c33",
+    17: "ba6507bd7de935916105985f77d5ae265819e01aa0a6e496d42f41cf34017eae",
+    101: "36c0ad36e86fd158639dfb9934b136f71e65615a092efc0d51c6c8a51991ee94",
+    2024: "bd67e09274969b4616b1831b06f42476ba88d4e51e7d6d836806c21169590843",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FIXED_MESSAGE_CORPUS_SHA256))
+def test_generated_corpus_bytes_with_fixed_messages_are_pinned(seed):
+    data = write_corpus_xml(generate(config(seed=seed, volatile_message_tokens=False)))
+    assert hashlib.sha256(data).hexdigest() == FIXED_MESSAGE_CORPUS_SHA256[seed]
+
+
+def test_absent_optional_fields_take_the_dataclass_defaults():
+    # The first pool entry leaves out shared_across_labels and only_label.
+    document = {
+        key: value
+        for key, value in CONFIG_DOCUMENT.items()
+        if key not in ("volatile_message_tokens", "frame_depth")
+    }
+    assert GeneratorConfig.from_dict(document) == GeneratorConfig(
+        seed=7,
+        projects=2,
+        tests_per_project=CountDistribution.constant(3),
+        flaky_signatures_per_test=CountDistribution.uniform(1, 2),
+        flaky_occurrences_per_signature=CountDistribution.geometric(0.4),
+        true_failures_per_test=CountDistribution.constant(4),
+        exception_pool=(
+            ExceptionSpec("UnknownHostException", 3.0),
+            ExceptionSpec("AssertionError", 1.0, shared_across_labels=True),
+            ExceptionSpec("NullPointerException", 2.0, only_label=Label.TRUE),
+        ),
+    )
+
+
+def test_pool_entry_without_a_weight_names_the_missing_field():
+    with pytest.raises(InvalidConfig) as excinfo:
+        GeneratorConfig.from_json(config_json(exception_pool=[{"name": "E"}]).decode())
+    assert str(excinfo.value) == "missing config field 'weight'"
+
+
+@pytest.mark.parametrize(
+    "missing", [f.name for f in fields(GeneratorConfig) if f.default is MISSING]
+)
+def test_missing_fields_are_named_in_declaration_order(missing):
+    # Every field after ``missing`` is left out too, so the first field the
+    # reader misses is the one named.
+    names = [f.name for f in fields(GeneratorConfig)]
+    document = {key: CONFIG_DOCUMENT[key] for key in names[: names.index(missing)]}
+    with pytest.raises(InvalidConfig) as excinfo:
+        GeneratorConfig.from_dict(document)
+    assert str(excinfo.value) == f"missing config field {missing!r}"
+
+
+@pytest.mark.parametrize("name", [" E", "E ", " "])
+def test_pool_names_that_do_not_read_back_raise_invalid_config(name):
+    pool = (ExceptionSpec(name, 1.0, shared_across_labels=True),)
+    with pytest.raises(InvalidConfig) as excinfo:
+        generate(config(exception_pool=pool))
+    assert str(excinfo.value) == (
+        f"exception_pool entry {name!r} must not be blank or start or end "
+        "with whitespace"
+    )
+
+
+def test_pool_names_read_back_unchanged():
+    pool = (ExceptionSpec("Inner Error", 1.0, shared_across_labels=True),)
+    corpus = generate(config(exception_pool=pool))
+    assert read_corpus_xml(write_corpus_xml(corpus)) == corpus
+
+
+def test_integer_too_long_to_read_raises_invalid_config():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter reads integers of any length")
+    document = config_json().replace(b'"seed": 7', b'"seed": 1' + b"0" * limit)
+    with pytest.raises(InvalidConfig) as excinfo:
+        GeneratorConfig.from_json(document.decode())
+    assert str(excinfo.value).startswith("config is not valid JSON: ")
+
+
+def test_readme_generator_config_section_names_every_field():
+    # Named in the prose, where its default and type are stated, not only in
+    # the example document.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Generator config\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    for cls in (GeneratorConfig, ExceptionSpec):
+        for f in fields(cls):
+            assert f"`{f.name}`" in section, f.name
